@@ -1,7 +1,7 @@
 # Convenience targets; everything works without make too.
 
 .PHONY: install test test-nojit bench figures figures-paper smoke lint \
-	trace-demo chaos-concurrent bench-gate sanitize
+	trace-demo chaos-concurrent bench-gate sanitize e2e-smoke
 
 install:
 	python setup.py develop
@@ -18,6 +18,11 @@ bench:
 
 smoke:
 	python -m repro.bench --scale smoke
+
+# The oracle-checked end-to-end workloads (paper_olap, sharded_olap,
+# service_small, stream_window) as tests — tier-1 collects only tests/.
+e2e-smoke:
+	PYTHONPATH=src python -m pytest -q benchmarks/e2e
 
 figures:
 	python -m repro.bench --scale quick
@@ -57,7 +62,7 @@ chaos-concurrent:
 bench-gate:
 	PYTHONPATH=src python -m repro.bench --snapshot /tmp/BENCH_current.json
 	PYTHONPATH=src python -m repro.bench.compare /tmp/BENCH_current.json \
-		--against BENCH_10.json
+		--against BENCH_12.json
 
 # Trace the figure-9 workload (selection + masked median) per pass;
 # writes traces/fig9.txt (pass tree) and traces/fig9.json (load in

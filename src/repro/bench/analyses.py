@@ -99,7 +99,8 @@ def sec511_selectivity(scale: Scale) -> ExperimentResult:
 def util_pipeline(scale: Scale) -> ExperimentResult:
     records = scale.max_records
     relation, gpu, cpu = _engines(records)
-    result = gpu.kth_largest("data_count", (records + 1) // 2)
+    (rank,) = aggregates.order_targets("median", records)
+    result = gpu.kth_largest("data_count", rank)
     compute = result.compute
     bits = relation.column("data_count").bits
     # Ideal: pure fill-rate for the comparison quads, nothing else.
@@ -234,7 +235,8 @@ def ablation_testbit(scale: Scale) -> ExperimentResult:
 def ablation_occlusion(scale: Scale) -> ExperimentResult:
     records = scale.kth_records
     relation, gpu, cpu = _engines(records)
-    result = gpu.kth_largest("data_count", (records + 1) // 2)
+    (rank,) = aggregates.order_targets("median", records)
+    result = gpu.kth_largest("data_count", rank)
     window = result.compute
     with_sync = GPU_COST.time(window).total_ms
     stalls = window.occlusion_results

@@ -397,7 +397,7 @@ def fig9_median_selectivity(scale: Scale) -> ExperimentResult:
 
         # Phase 2: masked KthLargest on the selection.
         gpu.device.stats.reset()
-        k80 = (outcome.count + 1) // 2
+        (k80,) = aggregates.order_targets("median", outcome.count)
         value80 = aggregates.kth_largest(
             gpu.device, texture, column.bits, k80, scale_factor,
             channel=channel, valid_stencil=outcome.valid_stencil,
@@ -406,7 +406,7 @@ def fig9_median_selectivity(scale: Scale) -> ExperimentResult:
 
         # Reference: unmasked median over all records.
         gpu.device.stats.reset()
-        k100 = (records + 1) // 2
+        (k100,) = aggregates.order_targets("median", records)
         aggregates.kth_largest(
             gpu.device, texture, column.bits, k100, scale_factor
         )

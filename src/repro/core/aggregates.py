@@ -6,11 +6,15 @@ All of these reduce to *counting with occlusion queries*:
 * ``KthLargest`` (routine 4.5) binary-searches the value bit by bit:
   pass ``i`` counts the records ``>= x + 2**i`` and Lemma 1 decides the
   bit.  ``b_max`` passes, no data rearrangement, constant in ``k``.
+  :func:`bit_search` is that loop over any count function; MIN, MAX,
+  the median, the k-th smallest, quantiles and the top-k threshold are
+  the same search at the rank :func:`order_targets` picks.
 * ``Accumulator`` (routine 4.6) sums by bit-slicing:
   ``sum = Σ_i 2**i · #{records with bit i set}``, where the per-bit count
   comes from the ``TestBit`` fragment program + alpha test + occlusion
   query.  Exact for any integer data — unlike float mipmap reduction
   (:func:`mipmap_sum`), which is kept as the paper's inexact strawman.
+  AVG is the Accumulator's sum over the COUNT.
 
 Each routine accepts an optional ``valid_stencil`` so it aggregates only
 records selected by an earlier query: the stencil test rejects
@@ -20,7 +24,9 @@ mask survives unchanged (paper sections 4.3.3 and 5.9 test 3).
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +69,60 @@ def count_valid(
     return query.result(synchronous=True)
 
 
+def bit_search(
+    count_at_least: Callable[[int], int], bits: int, k: int
+) -> int:
+    """Routine 4.5's bit-wise binary search for the k-th largest of a
+    ``bits``-bit integer attribute, MSB first.
+
+    ``count_at_least(x)`` returns how many valid records hold a value
+    ``>= x`` — one occlusion-counted comparison quad on a single device
+    (:func:`count_at_least`), or one such quad per shard with the counts
+    summed for the sharded engine.  Every order statistic is this loop
+    at the rank :func:`order_targets` picks.
+    """
+    x = 0
+    for i in range(bits - 1, -1, -1):
+        tentative = x + (1 << i)
+        # Lemma 1: count > k-1  =>  tentative <= v_k, keep the bit.
+        if count_at_least(tentative) > k - 1:
+            x = tentative
+    return x
+
+
+def count_at_least(
+    device: Device, texture: Texture, bits: int, value: int
+) -> int:
+    """One occlusion-counted quad: the valid records whose attribute
+    (already in the depth buffer) is ``>= value``.  Retrieved
+    synchronously — the search's next bit depends on it."""
+    query = device.begin_query()
+    # attribute >= value  <=>  value <= attribute
+    compare_pass(
+        device, CompareFunc.GEQUAL, value / float(1 << bits),
+        texture.count,
+    )
+    device.end_query()
+    return query.result(synchronous=True)
+
+
+def prepare_search(
+    device: Device,
+    texture: Texture,
+    scale: float,
+    channel: int = 0,
+    valid_stencil: int | None = None,
+    skip_copy: bool = False,
+) -> None:
+    """Arm the device for :func:`count_at_least` quads: color writes
+    off, the attribute copied to the depth buffer (unless ``skip_copy``
+    asserts it is already there) and the valid-stencil test set."""
+    device.state.color_mask = (False, False, False, False)
+    if not skip_copy:
+        copy_to_depth(device, texture, scale, channel=channel)
+    _configure_valid_stencil(device, valid_stencil)
+
+
 def kth_largest(
     device: Device,
     texture: Texture,
@@ -73,38 +133,20 @@ def kth_largest(
     valid_stencil: int | None = None,
     skip_copy: bool = False,
 ) -> int:
-    """Routine 4.5: the k-th largest value of a ``bits``-bit integer
-    attribute, via ``bits`` counting passes (MSB first).
+    """Routine 4.5 on one device: the k-th largest value of a
+    ``bits``-bit integer attribute, via one depth copy and ``bits``
+    counting passes.
 
     Returns the integer value.  ``k`` counts from 1 (the maximum).
-    The attribute is copied to the depth buffer once; each pass renders
-    one comparison quad at the tentative value and retrieves its
-    occlusion count synchronously (the next bit depends on it).
     ``skip_copy=True`` asserts the attribute already sits in the depth
     buffer (the engine's plan cache proved it) and elides the copy.
     """
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
-    device.state.color_mask = (False, False, False, False)
-    if not skip_copy:
-        copy_to_depth(device, texture, scale, channel=channel)
-    _configure_valid_stencil(device, valid_stencil)
-
-    denominator = float(1 << bits)
-    x = 0
-    for i in range(bits - 1, -1, -1):
-        tentative = x + (1 << i)
-        query = device.begin_query()
-        # attribute >= tentative  <=>  tentative <= attribute
-        compare_pass(
-            device, CompareFunc.GEQUAL, tentative / denominator,
-            texture.count,
-        )
-        device.end_query()
-        # Lemma 1: count > k-1  =>  tentative <= v_k, keep the bit.
-        if query.result(synchronous=True) > k - 1:
-            x = tentative
-    return x
+    return kth_largest_multi(
+        device, texture, bits, [k], scale,
+        channel=channel, valid_stencil=valid_stencil, skip_copy=skip_copy,
+    )[0]
 
 
 def kth_largest_multi(
@@ -127,96 +169,86 @@ def kth_largest_multi(
         raise QueryError("kth_largest_multi() needs at least one k")
     if any(k < 1 for k in ks):
         raise QueryError(f"every k must be >= 1, got {ks}")
-    device.state.color_mask = (False, False, False, False)
-    if not skip_copy:
-        copy_to_depth(device, texture, scale, channel=channel)
-    _configure_valid_stencil(device, valid_stencil)
-
-    denominator = float(1 << bits)
-    results = []
-    for k in ks:
-        x = 0
-        for i in range(bits - 1, -1, -1):
-            tentative = x + (1 << i)
-            query = device.begin_query()
-            compare_pass(
-                device,
-                CompareFunc.GEQUAL,
-                tentative / denominator,
-                texture.count,
-            )
-            device.end_query()
-            if query.result(synchronous=True) > k - 1:
-                x = tentative
-        results.append(x)
-    return results
+    prepare_search(
+        device, texture, scale,
+        channel=channel, valid_stencil=valid_stencil, skip_copy=skip_copy,
+    )
+    count = partial(count_at_least, device, texture, bits)
+    return [bit_search(count, bits, k) for k in ks]
 
 
-def kth_smallest(
+#: Empty-selection error label of the ops whose rank depends only on
+#: the valid-record count.
+_EMPTY_LABELS = {
+    "maximum": "MAX",
+    "minimum": "MIN",
+    "median": "median",
+    "quantiles": "quantiles",
+}
+
+
+def order_targets(
+    op: str,
+    valid_count: int,
+    k: int | None = None,
+    fractions: list[float] | None = None,
+) -> list[int]:
+    """The k-th-largest rank(s) an order-statistic op asks for over
+    ``valid_count`` records (section 4.3.2): MAX is rank 1, MIN rank
+    n, the k-th smallest rank n - k + 1, the median rank ceil(n/2)
+    (the paper's convention for figures 8 and 9), and quantile ``q``
+    rank ceil((1 - q) * n), clamped to [1, n].  ``top_k`` searches its
+    threshold at rank k.
+
+    Raises :class:`QueryError` when ``k`` falls outside ``[1, n]`` or a
+    rank-only op sees an empty selection.
+    """
+    n = valid_count
+    if op in ("kth_largest", "kth_smallest", "top_k"):
+        if k is None or not 1 <= k <= n:
+            raise QueryError(f"k={k} outside [1, {n}] valid records")
+        return [n - k + 1 if op == "kth_smallest" else k]
+    if op not in _EMPTY_LABELS:
+        raise QueryError(f"{op!r} is not an order statistic")
+    if n < 1:
+        raise QueryError(f"{_EMPTY_LABELS[op]} of an empty selection")
+    if op == "maximum":
+        return [1]
+    if op == "minimum":
+        return [n]
+    if op == "median":
+        return [(n + 1) // 2]
+    return [min(max(math.ceil((1.0 - q) * n), 1), n) for q in fractions]
+
+
+def mark_top_k(
     device: Device,
     texture: Texture,
-    bits: int,
-    k: int,
-    scale: float,
-    valid_count: int,
-    channel: int = 0,
-    valid_stencil: int | None = None,
-    skip_copy: bool = False,
-) -> int:
-    """The k-th smallest value: the (n - k + 1)-th largest, which is
-    duplicate-safe (the paper inverts the comparison; complementing k is
-    the equivalent order-statistics identity)."""
-    if not 1 <= k <= valid_count:
-        raise QueryError(
-            f"k={k} outside [1, {valid_count}] valid records"
-        )
-    return kth_largest(
-        device,
-        texture,
-        bits,
-        valid_count - k + 1,
-        scale,
-        channel=channel,
-        valid_stencil=valid_stencil,
-        skip_copy=skip_copy,
-    )
+    valid_stencil: int,
+    threshold_depth: float,
+    num_records: int,
+) -> np.ndarray:
+    """The top-k epilogue: one comparison quad bumps the stencil of
+    every valid record whose value is ``>= threshold_depth``
+    (``valid -> valid + 1``), then the mask is read back.  Returns the
+    marked record ids below ``num_records``.
 
-
-def maximum(
-    device, texture, bits, scale, channel=0, valid_stencil=None,
-    skip_copy=False,
-):
-    """MAX = the 1st largest (section 4.3.2)."""
-    return kth_largest(
-        device, texture, bits, 1, scale,
-        channel=channel, valid_stencil=valid_stencil, skip_copy=skip_copy,
-    )
-
-
-def minimum(
-    device, texture, bits, scale, valid_count, channel=0, valid_stencil=None,
-    skip_copy=False,
-):
-    """MIN = the ``valid_count``-th largest."""
-    return kth_largest(
-        device, texture, bits, valid_count, scale,
-        channel=channel, valid_stencil=valid_stencil, skip_copy=skip_copy,
-    )
-
-
-def median(
-    device, texture, bits, scale, valid_count, channel=0, valid_stencil=None,
-    skip_copy=False,
-):
-    """The ceil(n/2)-th largest value (the paper's median convention for
-    figures 8 and 9)."""
-    if valid_count < 1:
-        raise QueryError("median of an empty selection")
-    k = (valid_count + 1) // 2
-    return kth_largest(
-        device, texture, bits, k, scale,
-        channel=channel, valid_stencil=valid_stencil, skip_copy=skip_copy,
-    )
+    The attribute must already sit in the depth buffer; the pass
+    consumes the ``valid_stencil`` mask, so a retry has to rebuild it.
+    """
+    stencil = device.state.stencil
+    stencil.enabled = True
+    stencil.func = CompareFunc.EQUAL
+    stencil.reference = valid_stencil
+    stencil.sfail = StencilOp.KEEP
+    stencil.zfail = StencilOp.KEEP
+    stencil.zpass = StencilOp.INCR
+    compare_pass(device, CompareFunc.GEQUAL, threshold_depth, texture.count)
+    # The mask was written by compare_pass above in this same
+    # operation — it cannot be stale.  # repro-lint: disable=unchecked-stencil-read
+    mask = device.read_stencil()
+    ids = np.flatnonzero(mask == valid_stencil + 1)
+    return ids[ids < num_records]
 
 
 @lru_cache(maxsize=8)
@@ -282,25 +314,6 @@ def accumulate(
         synchronous = i == len(queries) - 1
         total += query.result(synchronous=synchronous) << i
     return total
-
-
-def average(
-    device: Device,
-    texture: Texture,
-    bits: int,
-    channel: int = 0,
-    valid_stencil: int | None = None,
-) -> float:
-    """AVG = SUM / COUNT (section 4.3.3)."""
-    selected = count_valid(
-        device, texture.count, valid_stencil=valid_stencil
-    )
-    if selected == 0:
-        raise QueryError("AVG of an empty selection")
-    total = accumulate(
-        device, texture, bits, channel=channel, valid_stencil=valid_stencil
-    )
-    return total / selected
 
 
 def mipmap_sum(texture: Texture, channel: int = 0) -> tuple[float, int]:

@@ -40,6 +40,7 @@ from ..gpu.texture import Texture, texture_shape_for
 from ..plan.cache import PlanCache
 from ..plan.passes import predicate_key
 from ..trace import current_tracer
+from . import aggregates
 from .compare import copy_to_depth
 from .polynomial import Polynomial
 from .predicates import (
@@ -742,14 +743,6 @@ class GpuEngine:
         else:
             self._op_span = None
 
-    def _validate_k(self, k: int, valid_count: int) -> None:
-        """Order statistics need 1 <= k <= (record count after any
-        predicate); one message format across engines and entry points."""
-        if not 1 <= k <= valid_count:
-            raise QueryError(
-                f"k={k} outside [1, {valid_count}] valid records"
-            )
-
     def _finish(self, value) -> GpuOpResult:
         copy, compute = split_copy_stats(self.device.stats.snapshot())
         self.device.stats.reset()
@@ -780,20 +773,53 @@ class GpuEngine:
         static verifier (debug mode), the tracer span, the resilient
         fault retry, and deadline cancellation all attach.
 
-        ``jit`` overrides the device's fragment-program backend for
-        this schedule only (``None`` keeps the engine default), which
-        is how the differential tests pin the JIT against the
-        interpreter on identical schedules.
+        Raises :class:`~repro.errors.QueryError` for a schedule whose op
+        has no driver (:data:`repro.plan.executor.DRIVERS`; e.g. a
+        whole-statement explain lowering) or that carries no payload.
+        The schedule then runs on this device
+        (:class:`~repro.plan.ScheduleExecutor`) or, on a sharded engine,
+        fans out (:class:`~repro.shard.ShardedExecutor`).
+
+        ``jit`` overrides the fragment-program backend of every device
+        that runs the schedule, for this call only (``None`` keeps the
+        engine default), which is how the differential tests pin the
+        JIT against the interpreter on identical schedules.
         """
-        # Runtime import: repro.plan.executor reaches back into
-        # repro.core at import time.
-        if self.sharded is not None:
+        # Runtime imports: repro.plan.executor and repro.shard reach
+        # back into repro.core at import time.
+        from ..plan.executor import DRIVERS, ScheduleExecutor
+
+        if schedule.op not in DRIVERS:
+            raise QueryError(
+                f"no execution driver for schedule op {schedule.op!r}; "
+                "execute_schedule() runs the op-level schedules the "
+                "repro.plan lowerings produce"
+            )
+        if schedule.payload is None:
+            raise QueryError(
+                f"schedule for {schedule.op!r} carries no execution "
+                "payload; recompile it with repro.plan.compiler"
+            )
+        # Debug mode: statically verify before any pass executes.
+        self._verify_schedule(schedule)
+        if self.sharded is None:
+            executor = ScheduleExecutor(self)
+            devices = [self.device]
+        else:
             from ..shard.sharded import ShardedExecutor
 
-            return ShardedExecutor(self).execute(schedule, jit=jit)
-        from ..plan.executor import ScheduleExecutor
-
-        return ScheduleExecutor(self).execute(schedule, jit=jit)
+            executor = ShardedExecutor(self)
+            devices = [shard.engine.device for shard in self.sharded.shards]
+        if jit is None:
+            return executor.execute(schedule)
+        saved = [device.jit for device in devices]
+        for device in devices:
+            device.jit = bool(jit)
+        try:
+            return executor.execute(schedule)
+        finally:
+            for device, old in zip(devices, saved):
+                device.jit = old
 
     @_resilient
     def select(self, predicate: Predicate) -> Selection:
@@ -863,6 +889,40 @@ class GpuEngine:
             )
         return outcome.valid_stencil, outcome.count
 
+    def prepare_search(
+        self,
+        column_name: str,
+        valid_stencil: int | None,
+        *,
+        ensure_mask: bool = False,
+    ) -> tuple[int | None, Texture]:
+        """Arm the device for an order-statistic search over
+        ``column_name`` after the selection left ``valid_stencil``:
+        the attribute in the depth buffer (copied only when the plan
+        cache cannot prove it is there) and the valid-stencil test set.
+
+        ``ensure_mask`` (top-k) writes an all-valid mask when there is
+        no WHERE, because the mark pass needs one.  Returns the
+        ``(valid_stencil, texture)`` the search and mark passes use.
+        Single-device and per-shard drivers share this.
+        """
+        device = self.device
+        if ensure_mask and valid_stencil is None:
+            # Drivers run this under the engine's active context (the
+            # sharded layer on each shard's private device).
+            # repro-lint: disable=unscheduled-stencil-write
+            device.clear_stencil(1)
+            valid_stencil = 1
+        texture, scale, channel = self.column_texture(column_name)
+        skip = self._depth_ready(column_name, texture)
+        aggregates.prepare_search(
+            device, texture, scale,
+            channel=channel, valid_stencil=valid_stencil, skip_copy=skip,
+        )
+        if not skip:
+            self.plan.depth.note(device, column_name, texture)
+        return valid_stencil, texture
+
     #: Ops :meth:`aggregate` accepts; the named methods are thin
     #: wrappers over :meth:`aggregate`.
     AGGREGATE_OPS = (
@@ -927,7 +987,8 @@ class GpuEngine:
         if op in ("kth_largest", "kth_smallest", "top_k"):
             if k is None:
                 raise QueryError(f"aggregate {op!r} needs k")
-            self._validate_k(k, self.relation.num_records)
+            # Rejects k outside [1, num_records] before lowering.
+            aggregates.order_targets(op, self.relation.num_records, k=k)
         if op == "quantiles":
             if not fractions:
                 raise QueryError(

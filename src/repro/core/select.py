@@ -108,14 +108,14 @@ def execute_selection(
         count = _select_polynomial(device, relation, provider, predicate)
         return SelectionOutcome(count=count, valid_stencil=1)
 
-    form, clauses = _choose_normal_form(predicate)
+    form, clauses = choose_normal_form(predicate)
     executor = _SimpleExecutor(relation, provider)
     evaluate = eval_cnf if form == "cnf" else eval_dnf
     valid, count = evaluate(device, clauses, executor, records)
     return SelectionOutcome(count=count, valid_stencil=valid)
 
 
-def _choose_normal_form(predicate: Predicate):
+def choose_normal_form(predicate: Predicate):
     """Pick CNF or DNF by estimated pass count.
 
     CNF costs one pass per simple predicate plus one cleanup per

@@ -36,7 +36,7 @@ from ..core.predicates import (
     SemiLinear,
 )
 from ..core.relation import Relation
-from ..core.select import _choose_normal_form
+from ..core.select import choose_normal_form
 from ..errors import QueryError
 from .passes import (
     CompareQuadPass,
@@ -133,7 +133,7 @@ def _selection_nodes(
         nodes.append(OcclusionCountPass(queries=1, batched=False))
         return nodes
 
-    form, clauses = _choose_normal_form(predicate)
+    form, clauses = choose_normal_form(predicate)
     nodes: list[PassNode] = []
     if form == "cnf":
         last = len(clauses)
@@ -447,16 +447,8 @@ def lower_statement(
     """
     # Imported here: repro.sql imports repro.core.engine, which imports
     # this package — a module-level import would close the cycle.
-    from ..sql.ast import AggregateFunc, AggregateItem
+    from ..sql.ast import AGGREGATE_OPS, AggregateItem
 
-    agg_ops = {
-        AggregateFunc.COUNT: "count",
-        AggregateFunc.SUM: "sum",
-        AggregateFunc.AVG: "average",
-        AggregateFunc.MIN: "minimum",
-        AggregateFunc.MAX: "maximum",
-        AggregateFunc.MEDIAN: "median",
-    }
     if statement.join is not None:
         return PassSchedule(
             op="join",
@@ -479,7 +471,7 @@ def lower_statement(
         for item in statement.items:
             if not isinstance(item, AggregateItem):
                 continue
-            op = agg_ops[item.func]
+            op = AGGREGATE_OPS[item.func]
             if op == "count" and predicate is not None and fuse:
                 continue  # the probe's count is reused outright
             sub = lower_aggregate(

@@ -1,36 +1,45 @@
-"""Whole-schedule execution: one driver loop per verified schedule.
+"""Whole-schedule execution on one device.
 
 :class:`ScheduleExecutor` is the execution half of the plan layer — the
 runtime twin of :mod:`repro.plan.compiler`.  Every engine operation
 compiles to a :class:`~repro.plan.passes.PassSchedule` carrying an
 execution ``payload`` and runs through
-:meth:`~repro.core.engine.GpuEngine.execute_schedule`, which delegates
-here.  One driver per schedule op owns the entire loop — copy-to-depth
-batching through the engine's cache-aware ``ensure_depth``, quad
-rasterization, and occlusion harvesting — without bouncing back
-through per-pass Python dispatch, and the verifier / tracer / fault /
-deadline hooks all sit at that single choke point:
+:meth:`~repro.core.engine.GpuEngine.execute_schedule`, which refuses
+schedules it has no driver or payload for, verifies in debug mode,
+applies any per-call ``jit`` override and then delegates here (or, on a
+sharded engine, to :class:`~repro.shard.sharded.ShardedExecutor`).
 
-* static verification runs (in debug mode) before any pass executes;
+Drivers follow how an op uses the device, not its name (:data:`DRIVERS`):
+
+* selection, COUNT, SUM/AVG (:meth:`ScheduleExecutor.stored_sum`: the
+  selection plus the bit-sliced Accumulator) and the batched
+  selectivity / histogram sweeps;
+* one order-statistic driver for k-th largest/smallest, MIN, MAX,
+  median, quantiles and top-k: ranks from
+  :func:`~repro.core.aggregates.order_targets`, one shared depth copy
+  (:meth:`~repro.core.engine.GpuEngine.prepare_search`), one
+  :func:`~repro.core.aggregates.bit_search` per rank, and the top-k
+  stencil mark.
+
+Each driver owns its entire loop — copy-to-depth batching through the
+engine's cache-aware depth tracking, quad rasterization, and occlusion
+harvesting — and the tracer / fault / deadline hooks sit at the single
+``execute_schedule`` choke point:
+
 * the op span and stats window open and close around the driver;
 * faults and retries wrap the whole schedule (``@_resilient`` on
   ``execute_schedule``);
-* deadlines cancel at pass boundaries inside the driver loop exactly
-  as they did across the old per-op methods.
-
-The free functions that once lived in ``repro.plan.runner``
-(``harvest`` / ``run_selectivities`` / ``run_histogram``) are methods
-here; the shim module has been removed now its deprecation window has
-passed.
+* deadlines cancel at pass boundaries inside the driver loop.
 """
 
 from __future__ import annotations
 
-import math
+from functools import partial
 from typing import Any
 
 import numpy as np
 
+from ..core import aggregates
 from ..core.compare import compare_pass
 from ..core.predicates import Between, Comparison, Predicate
 from ..core.range_query import range_pass
@@ -39,72 +48,42 @@ from ..errors import QueryError
 from .passes import PassSchedule, predicate_key
 
 
+#: Schedule op -> :class:`ScheduleExecutor` driver method.  The ops
+#: :meth:`~repro.core.engine.GpuEngine.execute_schedule` accepts; the
+#: sharded executor drives the same set.
+DRIVERS = {
+    "select": "_run_select",
+    "count": "_run_count",
+    "sum": "_run_sum_average",
+    "average": "_run_sum_average",
+    "selectivities": "_run_selectivities",
+    "histogram": "_run_histogram",
+    "kth_largest": "_run_order_statistic",
+    "kth_smallest": "_run_order_statistic",
+    "minimum": "_run_order_statistic",
+    "maximum": "_run_order_statistic",
+    "median": "_run_order_statistic",
+    "quantiles": "_run_order_statistic",
+    "top_k": "_run_order_statistic",
+}
+
+
 class ScheduleExecutor:
     """Executes compiled :class:`PassSchedule`\\ s against one engine.
 
     Stateless between calls — construction is free, so
     ``ScheduleExecutor(engine).execute(schedule)`` per operation is the
     intended usage (:meth:`GpuEngine.execute_schedule` does exactly
-    that).  Interpreter and JIT are swappable backends underneath: the
-    ``jit`` override flips the device flag for the duration of one
-    schedule, which is how the differential matrix pins both backends
-    against each other.
+    that, after refusing schedules it cannot run, verifying in debug
+    mode and applying any per-call ``jit`` override).
     """
-
-    #: Schedule op -> driver method name.
-    _DRIVERS = {
-        "select": "_run_select",
-        "count": "_run_count",
-        "sum": "_run_sum_average",
-        "average": "_run_sum_average",
-        "quantiles": "_run_quantiles",
-        "kth_largest": "_run_bit_search",
-        "kth_smallest": "_run_bit_search",
-        "minimum": "_run_bit_search",
-        "median": "_run_bit_search",
-        "top_k": "_run_top_k",
-        "selectivities": "_run_selectivities",
-        "histogram": "_run_histogram",
-    }
 
     def __init__(self, engine: Any):
         self.engine = engine
 
-    def execute(
-        self, schedule: PassSchedule, *, jit: bool | None = None
-    ) -> Any:
-        """Run one compiled schedule end to end.
-
-        ``jit`` overrides the device's program backend for this
-        schedule only (``None`` keeps the device default).  Raises
-        :class:`~repro.errors.QueryError` for schedules with no driver
-        (e.g. whole-statement explain lowerings) or no payload.
-        """
-        name = self._DRIVERS.get(schedule.op)
-        if name is None:
-            raise QueryError(
-                f"no execution driver for schedule op {schedule.op!r}; "
-                "execute_schedule() runs the op-level schedules the "
-                "repro.plan lowerings produce"
-            )
-        if schedule.payload is None:
-            raise QueryError(
-                f"schedule for {schedule.op!r} carries no execution "
-                "payload; recompile it with repro.plan.compiler"
-            )
-        engine = self.engine
-        # Debug mode: statically verify before any pass executes.
-        engine._verify_schedule(schedule)
-        driver = getattr(self, name)
-        device = engine.device
-        if jit is None:
-            return driver(schedule)
-        saved = device.jit
-        device.jit = bool(jit)
-        try:
-            return driver(schedule)
-        finally:
-            device.jit = saved
+    def execute(self, schedule: PassSchedule) -> Any:
+        """Run one compiled, already-vetted schedule end to end."""
+        return getattr(self, DRIVERS[schedule.op])(schedule)
 
     # -- op drivers ---------------------------------------------------------
 
@@ -141,8 +120,6 @@ class ScheduleExecutor:
         )
 
     def _run_count(self, schedule: PassSchedule) -> Any:
-        from ..core import aggregates
-
         engine = self.engine
         engine._begin("count")
         value = aggregates.count_valid(
@@ -150,163 +127,103 @@ class ScheduleExecutor:
         )
         return engine._finish(value)
 
-    def _run_sum_average(self, schedule: PassSchedule) -> Any:
-        from ..core import aggregates
+    def stored_sum(
+        self,
+        column_name: str,
+        predicate: Predicate | None,
+        empty_error: str | None = None,
+    ) -> tuple[int, int]:
+        """The SUM/AVG body: the selection (reused through the stencil
+        cache when live) then the bit-sliced Accumulator over the
+        stored encoding.  Returns ``(stored_total, valid_count)``.
 
+        ``empty_error`` raises before the Accumulator runs when the
+        selection is empty (single-device AVG); shards pass ``None``,
+        an empty shard legitimately contributing ``(0, 0)``.
+        """
+        engine = self.engine
+        texture, channel = engine.stored_texture(column_name)
+        valid, valid_count = engine._selection_stencil(predicate)
+        if empty_error is not None and valid_count == 0:
+            raise QueryError(empty_error)
+        total = aggregates.accumulate(
+            engine.device, texture,
+            engine.relation.column(column_name).bits,
+            channel=channel, valid_stencil=valid,
+        )
+        return int(total), int(valid_count)
+
+    def _run_sum_average(self, schedule: PassSchedule) -> Any:
         engine = self.engine
         op = schedule.op
         column_name = schedule.payload["column"]
-        predicate = schedule.payload.get("predicate")
         column = engine.relation.column(column_name)
-        texture, channel = engine.stored_texture(column_name)
         engine._begin(op, column=column_name)
-        valid, valid_count = engine._selection_stencil(predicate)
-        if op == "average" and valid_count == 0:
-            raise QueryError("AVG of an empty selection")
-        total = aggregates.accumulate(
-            engine.device, texture, column.bits,
-            channel=channel, valid_stencil=valid,
+        total, valid_count = self.stored_sum(
+            column_name,
+            schedule.payload.get("predicate"),
+            empty_error=(
+                "AVG of an empty selection" if op == "average" else None
+            ),
         )
         value = column.sum_from_stored(total, valid_count)
         if op == "average":
             value = value / valid_count
         return engine._finish(value)
 
-    def _run_quantiles(self, schedule: PassSchedule) -> Any:
-        from ..core import aggregates
-
-        engine = self.engine
-        column_name = schedule.payload["column"]
-        predicate = schedule.payload.get("predicate")
-        fractions = schedule.payload["fractions"]
-        column = engine.relation.column(column_name)
-        texture, scale, channel = engine.column_texture(column_name)
-        engine._begin(
-            "quantiles", column=column_name,
-            fractions=list(fractions),
-        )
-        valid, valid_count = engine._selection_stencil(predicate)
-        if valid_count == 0:
-            raise QueryError("quantiles of an empty selection")
-        ks = [
-            min(
-                max(math.ceil((1.0 - q) * valid_count), 1),
-                valid_count,
-            )
-            for q in fractions
-        ]
-        skip = engine._depth_ready(column_name, texture)
-        values = aggregates.kth_largest_multi(
-            engine.device, texture, column.bits, ks, scale,
-            channel=channel, valid_stencil=valid, skip_copy=skip,
-        )
-        if not skip:
-            engine.plan.depth.note(engine.device, column_name, texture)
-        return engine._finish(
-            [column.from_stored(value) for value in values]
-        )
-
-    def _run_bit_search(self, schedule: PassSchedule) -> Any:
-        from ..core import aggregates
+    def _run_order_statistic(self, schedule: PassSchedule) -> Any:
+        """Every order statistic (k-th largest/smallest, MIN, MAX,
+        median, quantiles, top-k): the selection, the ranks from
+        :func:`~repro.core.aggregates.order_targets`, one shared depth
+        copy, one :func:`~repro.core.aggregates.bit_search` per rank —
+        and for top-k the stencil mark of records at or above the
+        threshold."""
+        from ..core.engine import TopK
 
         engine = self.engine
         op = schedule.op
-        column_name = schedule.payload["column"]
-        predicate = schedule.payload.get("predicate")
-        k = schedule.payload.get("k")
+        payload = schedule.payload
+        column_name = payload["column"]
+        k = payload.get("k")
+        fractions = payload.get("fractions")
         column = engine.relation.column(column_name)
-        texture, scale, channel = engine.column_texture(column_name)
-        attrs = {"column": column_name}
-        if op in ("kth_largest", "kth_smallest"):
+        # Upload on first use ahead of the selection's textures: under
+        # video-memory pressure residency order decides what is evicted
+        # and re-uploaded (and charged) later.
+        engine.column_texture(column_name)
+        attrs: dict[str, Any] = {"column": column_name}
+        if k is not None:
             attrs["k"] = k
+        if fractions is not None:
+            attrs["fractions"] = list(fractions)
         engine._begin(op, **attrs)
-        valid, valid_count = engine._selection_stencil(predicate)
-        if op in ("kth_largest", "kth_smallest"):
-            engine._validate_k(k, valid_count)
-        elif valid_count == 0:
-            raise QueryError(
-                "MIN of an empty selection" if op == "minimum"
-                else "median of an empty selection"
-            )
-        skip = engine._depth_ready(column_name, texture)
-        if op == "kth_largest":
-            value = aggregates.kth_largest(
-                engine.device, texture, column.bits, k, scale,
-                channel=channel, valid_stencil=valid, skip_copy=skip,
-            )
-        elif op == "kth_smallest":
-            value = aggregates.kth_smallest(
-                engine.device, texture, column.bits, k, scale,
-                valid_count,
-                channel=channel, valid_stencil=valid, skip_copy=skip,
-            )
-        elif op == "minimum":
-            value = aggregates.minimum(
-                engine.device, texture, column.bits, scale,
-                valid_count,
-                channel=channel, valid_stencil=valid, skip_copy=skip,
-            )
-        else:
-            value = aggregates.median(
-                engine.device, texture, column.bits, scale,
-                valid_count,
-                channel=channel, valid_stencil=valid, skip_copy=skip,
-            )
-        if not skip:
-            engine.plan.depth.note(engine.device, column_name, texture)
-        return engine._finish(column.from_stored(value))
-
-    def _run_top_k(self, schedule: PassSchedule) -> Any:
-        from ..core import aggregates
-        from ..core.engine import TopK
-        from ..gpu.types import CompareFunc, StencilOp
-
-        engine = self.engine
-        column_name = schedule.payload["column"]
-        predicate = schedule.payload.get("predicate")
-        k = schedule.payload["k"]
-        column = engine.relation.column(column_name)
-        texture, scale, channel = engine.column_texture(column_name)
-        engine._begin("top_k", column=column_name, k=k)
-        valid, valid_count = engine._selection_stencil(predicate)
-        engine._validate_k(k, valid_count)
-        if valid is None:
-            # The executor is the engine's execution arm: this runs
-            # under the engine's active context exactly as the old
-            # GpuEngine._top_k body did.
-            # repro-lint: disable=unscheduled-stencil-write
-            engine.device.clear_stencil(1)
-            valid = 1
-        skip = engine._depth_ready(column_name, texture)
-        threshold = aggregates.kth_largest(
-            engine.device, texture, column.bits, k, scale,
-            channel=channel, valid_stencil=valid, skip_copy=skip,
+        valid, valid_count = engine._selection_stencil(
+            payload.get("predicate")
         )
-        if not skip:
-            engine.plan.depth.note(engine.device, column_name, texture)
-        threshold_value = column.from_stored(threshold)
-        # Mark records (valid AND value >= threshold): valid -> valid+1.
-        stencil = engine.device.state.stencil
-        stencil.enabled = True
-        stencil.func = CompareFunc.EQUAL
-        stencil.reference = valid
-        stencil.sfail = StencilOp.KEEP
-        stencil.zfail = StencilOp.KEEP
-        stencil.zpass = StencilOp.INCR
-        compare_pass(
-            engine.device,
-            CompareFunc.GEQUAL,
-            column.normalize(threshold_value),
-            texture.count,
+        targets = aggregates.order_targets(
+            op, valid_count, k=k, fractions=fractions
         )
-        # The mask was written by compare_pass above in this same
-        # operation — it cannot be stale.  # repro-lint: disable=unchecked-stencil-read
-        mask = engine.device.read_stencil()
-        ids = np.flatnonzero(mask == valid + 1)
-        ids = ids[ids < engine.relation.num_records]
-        return engine._finish(
-            TopK(threshold=threshold_value, record_ids=ids)
+        valid, texture = engine.prepare_search(
+            column_name, valid, ensure_mask=op == "top_k"
         )
+        count = partial(
+            aggregates.count_at_least, engine.device, texture, column.bits
+        )
+        values = [
+            column.from_stored(aggregates.bit_search(count, column.bits, t))
+            for t in targets
+        ]
+        if op == "quantiles":
+            return engine._finish(values)
+        if op == "top_k":
+            ids = aggregates.mark_top_k(
+                engine.device, texture, valid,
+                column.normalize(values[0]), engine.relation.num_records,
+            )
+            return engine._finish(
+                TopK(threshold=values[0], record_ids=ids)
+            )
+        return engine._finish(values[0])
 
     def _run_selectivities(self, schedule: PassSchedule) -> Any:
         engine = self.engine

@@ -14,7 +14,9 @@ runtime half of the H108 shard-aliasing guarantee
 :class:`ShardedExecutor` is the fan-out twin of
 :class:`~repro.plan.executor.ScheduleExecutor`: it takes the *parent*
 engine's compiled :class:`~repro.plan.passes.PassSchedule` and runs the
-operation as N per-shard schedules on a thread pool, then merges on the
+operation on every shard on a thread pool — the parent's own schedule
+for folded ops, the shared search primitives of
+:mod:`repro.core.aggregates` for order statistics — then merges on the
 host with the op's typed combiner:
 
 * COUNT / SUM / MIN / MAX / AVG merge trivially (sums, extrema,
@@ -43,14 +45,13 @@ from __future__ import annotations
 
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
 from .. import sanitize
 from ..core import aggregates
-from ..core.aggregates import _configure_valid_stencil
-from ..core.compare import compare_pass, copy_to_depth
 from ..core.engine import (
     GpuOpResult,
     Selection,
@@ -65,19 +66,13 @@ from ..errors import (
 )
 from ..faults.deadline import current_deadline, use_deadline
 from ..gpu.counters import PipelineStats
-from ..gpu.types import CompareFunc, StencilOp
+from ..plan.executor import ScheduleExecutor
 from .combiners import COMBINER_SPECS, fold
 from .partition import pool_threads, shard_bounds, slice_relation
 from .results import (
     COMBINE_MS_PER_SHARD,
     ShardedOpResult,
     ShardedSelection,
-)
-
-#: The distributed bit-search ops: their declared combiner is the
-#: per-round occlusion-count sum applied in :meth:`_count_round`.
-_SEARCH_OPS = frozenset(
-    {"kth_largest", "kth_smallest", "median", "quantiles"}
 )
 
 #: Context-id stride between shard generation bands.  Shard *i* owns
@@ -299,6 +294,17 @@ class ShardedDevice:
         self._contexts.pop(parent_context.cid, None)
 
 
+def _extremum_of(op: str, k: int | None) -> str | None:
+    """The MIN or MAX an order statistic reduces to, if any (MIN, MAX,
+    and the first largest / smallest): those merge per-shard extrema
+    instead of running the distributed search."""
+    if k == 1:
+        op = {"kth_largest": "maximum", "kth_smallest": "minimum"}.get(
+            op, op
+        )
+    return op if op in ("minimum", "maximum") else None
+
+
 @dataclasses.dataclass
 class _ShardState:
     """Per-shard mutable state for one fanned-out operation."""
@@ -307,16 +313,12 @@ class _ShardState:
     op: str
     column_name: str | None = None
     predicate: object = None
-    #: top_k only: write an all-valid mask when there is no WHERE.
-    ensure_mask: bool = False
     #: True while the shard's GPU holds the prepared selection mask and
     #: depth copy; cleared by faults so retries rebuild both.
     prepared: bool = False
     valid: int | None = None
     valid_count: int = 0
     texture: object = None
-    scale: float = 1.0
-    channel: int = 0
     #: CPU mirror, populated lazily on degradation only.
     cpu_mask: np.ndarray | None = None
     cpu_stored: np.ndarray | None = None
@@ -326,21 +328,39 @@ class _ShardState:
 class ShardedExecutor:
     """Runs one parent :class:`PassSchedule` as N per-shard executions
     plus a host combiner.  Like :class:`ScheduleExecutor` it is
-    stateless between operations — construct one per call."""
+    stateless between operations — construct one per call.
+
+    Two strategies cover every op:
+
+    * **same schedule per shard plus a typed fold** — select, count,
+      sum, selectivities and histogram: each shard engine runs the
+      parent's own schedule through its ``execute_schedule`` and the
+      host folds the partials (:mod:`repro.shard.combiners`);
+    * **distributed search** — the order statistics: the shared
+      :func:`~repro.core.aggregates.bit_search` over a count function
+      that sums one pool round of per-shard comparison quads, at the
+      ranks :func:`~repro.core.aggregates.order_targets` derives from
+      the summed valid count.  MIN and MAX instead run one local
+      search per shard and keep the extremum.
+
+    AVG runs the single-device SUM/AVG body per shard and merges the
+    ``(sum, count)`` pairs.
+    """
 
     _DRIVERS = {
         "select": "_run_select",
-        "count": "_run_count",
-        "sum": "_run_sum",
+        "count": "_run_fold",
+        "sum": "_run_fold",
+        "selectivities": "_run_fold",
+        "histogram": "_run_fold",
         "average": "_run_average",
-        "selectivities": "_run_selectivities",
-        "histogram": "_run_histogram",
-        "quantiles": "_run_search",
-        "kth_largest": "_run_search",
-        "kth_smallest": "_run_search",
-        "minimum": "_run_search",
-        "median": "_run_search",
-        "top_k": "_run_top_k",
+        "kth_largest": "_run_order_statistic",
+        "kth_smallest": "_run_order_statistic",
+        "minimum": "_run_order_statistic",
+        "maximum": "_run_order_statistic",
+        "median": "_run_order_statistic",
+        "quantiles": "_run_order_statistic",
+        "top_k": "_run_order_statistic",
     }
 
     def __init__(self, engine: Any) -> None:
@@ -355,32 +375,9 @@ class ShardedExecutor:
 
     # -- entry point --------------------------------------------------------
 
-    def execute(self, schedule: Any, *, jit: bool | None = None) -> Any:
-        name = self._DRIVERS.get(schedule.op)
-        if name is None:
-            raise QueryError(
-                f"no execution driver for schedule op {schedule.op!r}; "
-                "execute_schedule() runs the op-level schedules the "
-                "repro.plan lowerings produce"
-            )
-        if schedule.payload is None:
-            raise QueryError(
-                f"schedule for {schedule.op!r} carries no execution "
-                "payload; recompile it with repro.plan.compiler"
-            )
-        self.engine._verify_schedule(schedule)
-        if jit is None:
-            return self._dispatch(schedule)
-        saved = [s.engine.device.jit for s in self.pool.shards]
-        for shard in self.pool.shards:
-            shard.engine.device.jit = bool(jit)
-        try:
-            return self._dispatch(schedule)
-        finally:
-            for shard, old in zip(self.pool.shards, saved):
-                shard.engine.device.jit = old
-
-    def _dispatch(self, schedule: Any) -> Any:
+    def execute(self, schedule: Any) -> Any:
+        """Fan one already-vetted parent schedule out (see
+        :meth:`GpuEngine.execute_schedule`)."""
         # One stats window per shard per operation, opened host-side so
         # a shard that degrades before its first pass reports zero work
         # instead of a stale window.
@@ -548,15 +545,18 @@ class ShardedExecutor:
     # -- result assembly ----------------------------------------------------
 
     def _combined(
-        self, op: str, value: Any, parts: Any
+        self, op: str, value: Any, parts: Any, combiner: str | None = None
     ) -> ShardedOpResult:
+        """Assemble the fan-out result; ``combiner`` names the spec
+        whose description it carries when that is not ``op``'s own
+        (MIN/MAX-shaped k-th searches)."""
         return ShardedOpResult(
             value=value,
             copy=PipelineStats.merged([p.copy for p in parts]),
             compute=PipelineStats.merged([p.compute for p in parts]),
             model=self.engine.cost_model,
             shard_results=list(parts),
-            combiner=COMBINERS[op],
+            combiner=COMBINERS[combiner or op],
             combiner_ms=COMBINE_MS_PER_SHARD * len(parts),
             degraded_shards=tuple(sorted(self._degraded_snapshot())),
         )
@@ -583,7 +583,7 @@ class ShardedExecutor:
             )
         return parts
 
-    # -- trivially-combined ops (per-shard engine methods) ------------------
+    # -- folded ops: the parent's schedule on every shard -------------------
 
     def _run_select(self, schedule: Any) -> Any:
         predicate = schedule.payload["predicate"]
@@ -606,7 +606,7 @@ class ShardedExecutor:
 
         parts = self.pool.map(
             lambda shard: self._shard_call(
-                shard, lambda s: s.engine.select(predicate), cpu
+                shard, lambda s: s.engine.execute_schedule(schedule), cpu
             )
         )
         return ShardedSelection(
@@ -624,10 +624,14 @@ class ShardedExecutor:
             degraded_shards=tuple(sorted(self._degraded_snapshot())),
         )
 
-    def _run_count(self, schedule: Any) -> Any:
+    def _run_fold(self, schedule: Any) -> Any:
+        """count, sum, selectivities, histogram: every shard runs the
+        parent's schedule; the host folds the partial values."""
+        op = schedule.op
+
         def cpu(shard: Shard) -> GpuOpResult:
             return GpuOpResult(
-                value=shard.num_records,
+                value=self._host_partial(schedule, shard),
                 copy=PipelineStats(),
                 compute=PipelineStats(),
                 model=self.engine.cost_model,
@@ -635,48 +639,56 @@ class ShardedExecutor:
 
         parts = self.pool.map(
             lambda shard: self._shard_call(
-                shard, lambda s: s.engine.aggregate("count"), cpu
+                shard, lambda s: s.engine.execute_schedule(schedule), cpu
             )
         )
-        return self._combined(
-            "count", fold("count", [int(part.value) for part in parts]),
-            parts,
-        )
+        partials = [part.value for part in parts]
+        if op == "histogram":
+            value: Any = (
+                schedule.payload["edges"],
+                fold(op, [counts for _edges, counts in partials]),
+            )
+        else:
+            value = fold(op, partials)
+        return self._combined(op, value, parts)
 
-    def _run_sum(self, schedule: Any) -> Any:
-        column_name = schedule.payload["column"]
-        predicate = schedule.payload.get("predicate")
-
-        def cpu(shard: Shard) -> GpuOpResult:
+    def _host_partial(self, schedule: Any, shard: Shard) -> Any:
+        """A degraded shard's partial for a folded op, recomputed from
+        its slice on the host."""
+        op = schedule.op
+        payload = schedule.payload
+        relation = shard.engine.relation
+        if op == "count":
+            return shard.num_records
+        if op == "selectivities":
+            return [
+                int(np.count_nonzero(p.mask(relation)))
+                for p in payload["predicates"]
+            ]
+        column = relation.column(payload["column"])
+        if op == "sum":
             state = self._cpu_state(
                 _ShardState(
-                    shard, "sum",
-                    column_name=column_name, predicate=predicate,
+                    shard, op,
+                    column_name=payload["column"],
+                    predicate=payload.get("predicate"),
                 )
             )
-            column = shard.engine.relation.column(column_name)
             total = int(state.cpu_values.sum()) if state.valid_count else 0
-            return GpuOpResult(
-                value=column.sum_from_stored(total, state.valid_count),
-                copy=PipelineStats(),
-                compute=PipelineStats(),
-                model=self.engine.cost_model,
+            return column.sum_from_stored(total, state.valid_count)
+        # histogram: the depth-bounds semantics of the fused sweep —
+        # bucket i counts values in [edges[i], edges[i+1] - 1], domains
+        # clamped exactly as column.clamp_to_domain does.
+        edges = payload["edges"]
+        values = np.asarray(column.values)
+        counts = np.zeros(edges.size - 1, dtype=np.int64)
+        for i in range(edges.size - 1):
+            low = column.clamp_to_domain(int(edges[i]))
+            high = column.clamp_to_domain(int(edges[i + 1] - 1))
+            counts[i] = int(
+                np.count_nonzero((values >= low) & (values <= high))
             )
-
-        # SUM is linear in the stored encoding: every shard folds its
-        # own bias term, so the partial sums add up exactly.
-        parts = self.pool.map(
-            lambda shard: self._shard_call(
-                shard,
-                lambda s: s.engine.aggregate(
-                    "sum", column_name, predicate=predicate
-                ),
-                cpu,
-            )
-        )
-        return self._combined(
-            "sum", fold("sum", [part.value for part in parts]), parts
-        )
+        return edges, counts
 
     def _run_average(self, schedule: Any) -> Any:
         column_name = schedule.payload["column"]
@@ -690,26 +702,14 @@ class ShardedExecutor:
             for shard in self.pool.shards
         }
 
-        def gpu_body(state: _ShardState) -> Any:
-            # The single-device sum/average driver minus the division:
-            # selection passes plus the bit-sliced Accumulator, with an
-            # empty shard legitimately contributing (0, 0).
-            engine = state.shard.engine
-            texture, channel = engine.stored_texture(state.column_name)
-            valid, valid_count = engine._selection_stencil(
-                state.predicate
-            )
-            total = aggregates.accumulate(
-                engine.device, texture,
-                engine.relation.column(state.column_name).bits,
-                channel=channel, valid_stencil=valid,
-            )
-            return int(total), int(valid_count)
-
         def gpu(shard: Shard) -> Any:
-            state = states[shard.index]
+            # The single-device SUM/AVG body minus the division; an
+            # empty shard legitimately contributes (0, 0).
+            body = ScheduleExecutor(shard.engine)
             return self._resilient(
-                shard, lambda: gpu_body(state), "average"
+                shard,
+                lambda: body.stored_sum(column_name, predicate),
+                "average",
             )
 
         def cpu(shard: Shard) -> Any:
@@ -734,355 +734,173 @@ class ShardedExecutor:
         )
         return self._combined("average", value, parts)
 
-    def _run_selectivities(self, schedule: Any) -> Any:
-        predicates = schedule.payload["predicates"]
-
-        def cpu(shard: Shard) -> GpuOpResult:
-            relation = shard.engine.relation
-            counts = [
-                int(np.count_nonzero(p.mask(relation)))
-                for p in predicates
-            ]
-            return GpuOpResult(
-                value=counts,
-                copy=PipelineStats(),
-                compute=PipelineStats(),
-                model=self.engine.cost_model,
-            )
-
-        parts = self.pool.map(
-            lambda shard: self._shard_call(
-                shard, lambda s: s.engine.selectivities(predicates), cpu
-            )
-        )
-        combined = fold(
-            "selectivities",
-            [[int(count) for count in part.value] for part in parts],
-        )
-        return self._combined("selectivities", combined, parts)
-
-    def _run_histogram(self, schedule: Any) -> Any:
-        column_name = schedule.payload["column"]
-        buckets = schedule.payload["buckets"]
-        edges = schedule.payload["edges"]
-
-        def cpu(shard: Shard) -> GpuOpResult:
-            # The depth-bounds semantics of the fused sweep: bucket i
-            # counts values in [edges[i], edges[i+1] - 1], domains
-            # clamped exactly as column.clamp_to_domain does.
-            column = shard.engine.relation.column(column_name)
-            values = np.asarray(
-                shard.engine.relation.column(column_name).values
-            )
-            counts = np.zeros(edges.size - 1, dtype=np.int64)
-            for i in range(edges.size - 1):
-                low = column.clamp_to_domain(int(edges[i]))
-                high = column.clamp_to_domain(int(edges[i + 1] - 1))
-                counts[i] = int(
-                    np.count_nonzero((values >= low) & (values <= high))
-                )
-            return GpuOpResult(
-                value=(edges, counts),
-                copy=PipelineStats(),
-                compute=PipelineStats(),
-                model=self.engine.cost_model,
-            )
-
-        parts = self.pool.map(
-            lambda shard: self._shard_call(
-                shard,
-                lambda s: s.engine.histogram(column_name, buckets),
-                cpu,
-            )
-        )
-        combined = fold(
-            "histogram", [part.value[1] for part in parts]
-        )
-        return self._combined("histogram", (edges, combined), parts)
-
-    # -- the distributed bit search -----------------------------------------
+    # -- order statistics ---------------------------------------------------
 
     def _prepare_search(self, state: _ShardState) -> None:
-        """Per-shard GPU prep for order statistics: selection mask,
-        color writes off, the attribute copied to the depth buffer
-        (through the shard's fusion cache) and the valid-stencil test
-        armed.  Idempotent — faults re-run it from scratch."""
+        """Per-shard GPU prep for order statistics: the selection mask,
+        then the engine's shared search prep (depth copy through the
+        shard's fusion cache, valid-stencil test armed).  Idempotent —
+        faults re-run it from scratch."""
         engine = state.shard.engine
-        device = engine.device
-        state.valid, state.valid_count = engine._selection_stencil(
+        valid, state.valid_count = engine._selection_stencil(
             state.predicate
         )
-        if state.ensure_mask and state.valid is None:
-            # top_k with no WHERE: the mark phase needs a real mask, so
-            # write an all-valid one, exactly like the single-device
-            # driver.  This layer is the shards' scheduler: writes land
-            # on the shard's private device between operations.
-            # repro-lint: disable=unscheduled-stencil-write
-            device.clear_stencil(1)
-            state.valid = 1
-        device.state.color_mask = (False, False, False, False)
-        texture, scale, channel = engine.column_texture(
-            state.column_name
+        state.valid, state.texture = engine.prepare_search(
+            state.column_name, valid, ensure_mask=state.op == "top_k"
         )
-        state.texture, state.scale, state.channel = (
-            texture, scale, channel,
-        )
-        if not engine._depth_ready(state.column_name, texture):
-            copy_to_depth(device, texture, scale, channel=channel)
-            engine.plan.depth.note(device, state.column_name, texture)
-        _configure_valid_stencil(device, state.valid)
         state.prepared = True
 
     def _prepare_all(self, states: dict[int, _ShardState]) -> int:
         """Fan the search prep out to every shard; returns the combined
         valid-record count (degraded shards count on the CPU)."""
-        self.pool.map(
-            lambda shard: self._shard_call(
-                shard,
-                lambda s: self._guarded(
-                    states[s.index], lambda: None
-                ),
-                lambda s: self._cpu_state(states[s.index]),
-            )
-        )
+        self._on_shards(states, lambda state: None, lambda state: None)
         return sum(state.valid_count for state in states.values())
 
-    def _count_round(
-        self, states: dict[int, _ShardState], tentative: int,
-        denominator: float,
-    ) -> int:
-        """One distributed round: broadcast the candidate value, render
-        one occlusion-counted ``GEQUAL`` quad per shard, sum counts."""
-
-        def body(state: _ShardState) -> int:
-            device = state.shard.engine.device
-            query = device.begin_query()
-            compare_pass(
-                device, CompareFunc.GEQUAL,
-                tentative / denominator, state.texture.count,
-            )
-            device.end_query()
-            return int(query.result(synchronous=True))
-
-        def cpu(shard: Shard) -> int:
-            state = self._cpu_state(states[shard.index])
-            return int(
-                np.count_nonzero(state.cpu_values >= tentative)
-            )
-
-        counts = self.pool.map(
+    def _on_shards(
+        self,
+        states: dict[int, _ShardState],
+        gpu_body: Callable[[_ShardState], Any],
+        cpu_body: Callable[[_ShardState], Any],
+    ) -> list:
+        """One pool round: ``gpu_body`` against each shard's prepared
+        state, or ``cpu_body`` on its host mirror once it degraded."""
+        return self.pool.map(
             lambda shard: self._shard_call(
                 shard,
                 lambda s: self._guarded(
-                    states[s.index],
-                    lambda: body(states[s.index]),
+                    states[s.index], lambda: gpu_body(states[s.index])
                 ),
-                cpu,
+                lambda s: cpu_body(self._cpu_state(states[s.index])),
             )
         )
-        # The search ops declare this per-round count sum as their
-        # combiner; top_k's threshold search reuses the count fold (its
-        # declared combiner is the final ordered concatenation).
-        op = next(iter(states.values())).op
-        return fold(op if op in _SEARCH_OPS else "count", counts)
 
-    def _distributed_kth(
-        self, states: dict[int, _ShardState], bits: int, k: int,
+    def _search_counter(
+        self, states: dict[int, _ShardState], bits: int
+    ) -> Callable[[int], int]:
+        """``count_at_least`` for :func:`aggregates.bit_search` across
+        the pool: every shard renders one occlusion-counted ``GEQUAL``
+        quad at the broadcast value and the host sums the counts — one
+        distributed COUNT per round, folded with the count combiner."""
+
+        def count_at_least(value: int) -> int:
+            counts = self._on_shards(
+                states,
+                lambda state: int(
+                    aggregates.count_at_least(
+                        state.shard.engine.device, state.texture, bits,
+                        value,
+                    )
+                ),
+                lambda state: int(
+                    np.count_nonzero(state.cpu_values >= value)
+                ),
+            )
+            return fold("count", counts)
+
+        return count_at_least
+
+    def _extremum(
+        self, states: dict[int, _ShardState], bits: int, op: str,
     ) -> int:
-        """Figure-7 bit-wise binary search, distributed: every shard
-        renders the same ``bits`` comparison passes as the single
-        device would, over its slice; Lemma 1 is applied to the summed
-        occlusion count each round."""
-        denominator = float(1 << bits)
-        x = 0
-        for i in range(bits - 1, -1, -1):
-            tentative = x + (1 << i)
-            count = self._count_round(states, tentative, denominator)
-            if count > k - 1:
-                x = tentative
-        return x
+        """MIN/MAX merge trivially: each shard runs its *local* search
+        (the same passes) at its local rank and the host keeps the
+        extremum.  Shards whose selection is empty sit the search
+        out."""
 
-    def _run_search(self, schedule: Any) -> Any:
-        import math
-
-        op = schedule.op
-        column_name = schedule.payload["column"]
-        predicate = schedule.payload.get("predicate")
-        k = schedule.payload.get("k")
-        fractions = schedule.payload.get("fractions")
-        engine = self.engine
-        column = engine.relation.column(column_name)
-        states = {
-            shard.index: _ShardState(
-                shard, op,
-                column_name=column_name, predicate=predicate,
-            )
-            for shard in self.pool.shards
-        }
-        total_valid = self._prepare_all(states)
-        if op in ("kth_largest", "kth_smallest"):
-            engine._validate_k(k, total_valid)
-        elif total_valid == 0:
-            if op == "minimum":
-                raise QueryError("MIN of an empty selection")
-            if op == "median":
-                raise QueryError("median of an empty selection")
-            raise QueryError("quantiles of an empty selection")
-
-        extreme = None
-        if op == "minimum" or (op == "kth_smallest" and k == 1):
-            extreme = "min"
-        elif op == "kth_largest" and k == 1:
-            extreme = "max"
-        if extreme is not None:
-            value = self._extreme(states, column.bits, extreme)
-            label = "minimum" if extreme == "min" else "maximum"
-            parts = self._harvest(
-                list(states.values()), lambda s: s.valid_count
-            )
-            result = self._combined(op, column.from_stored(value), parts)
-            result = dataclasses.replace(
-                result, combiner=COMBINERS[label]
-            )
-            return result
-
-        if op == "quantiles":
-            ks = [
-                min(
-                    max(math.ceil((1.0 - q) * total_valid), 1),
-                    total_valid,
-                )
-                for q in fractions
-            ]
-            values = [
-                self._distributed_kth(states, column.bits, target)
-                for target in ks
-            ]
-            value = [column.from_stored(v) for v in values]
-        else:
-            if op == "kth_largest":
-                target = k
-            elif op == "kth_smallest":
-                target = total_valid - k + 1
-            else:  # median
-                target = (total_valid + 1) // 2
-            value = column.from_stored(
-                self._distributed_kth(states, column.bits, target)
-            )
-        parts = self._harvest(
-            list(states.values()), lambda s: s.valid_count
-        )
-        return self._combined(op, value, parts)
-
-    def _extreme(
-        self, states: dict[int, _ShardState], bits: int, mode: str,
-    ) -> int:
-        """MIN/MAX merge trivially: each shard runs its *local* figure-7
-        search (same pass count) and the host keeps the extremum.
-        Shards whose selection is empty sit the search out."""
-
-        def body(state: _ShardState) -> int | None:
+        def gpu(state: _ShardState) -> int | None:
             if state.valid_count == 0:
                 return None
-            engine = state.shard.engine
-            local_k = 1 if mode == "max" else state.valid_count
-            return aggregates.kth_largest(
-                engine.device, state.texture, bits, local_k,
-                state.scale, channel=state.channel,
-                valid_stencil=state.valid, skip_copy=True,
+            (rank,) = aggregates.order_targets(op, state.valid_count)
+            count = partial(
+                aggregates.count_at_least,
+                state.shard.engine.device, state.texture, bits,
             )
+            return aggregates.bit_search(count, bits, rank)
 
-        def cpu(shard: Shard) -> int | None:
-            state = self._cpu_state(states[shard.index])
+        def cpu(state: _ShardState) -> int | None:
             if state.valid_count == 0:
                 return None
-            if mode == "max":
+            if op == "maximum":
                 return int(state.cpu_values.max())
             return int(state.cpu_values.min())
 
-        extrema = self.pool.map(
-            lambda shard: self._shard_call(
-                shard,
-                lambda s: self._guarded(
-                    states[s.index],
-                    lambda: body(states[s.index]),
-                ),
-                cpu,
-            )
-        )
-        found = [value for value in extrema if value is not None]
-        return fold("maximum" if mode == "max" else "minimum", found)
+        found = [
+            value
+            for value in self._on_shards(states, gpu, cpu)
+            if value is not None
+        ]
+        return fold(op, found)
 
-    # -- top-k ---------------------------------------------------------------
-
-    def _run_top_k(self, schedule: Any) -> Any:
-        column_name = schedule.payload["column"]
-        predicate = schedule.payload.get("predicate")
-        k = schedule.payload["k"]
-        engine = self.engine
-        column = engine.relation.column(column_name)
+    def _run_order_statistic(self, schedule: Any) -> Any:
+        op = schedule.op
+        payload = schedule.payload
+        k = payload.get("k")
+        column_name = payload["column"]
+        column = self.engine.relation.column(column_name)
         states = {
             shard.index: _ShardState(
-                shard, "top_k",
-                column_name=column_name, predicate=predicate,
-                ensure_mask=True,
+                shard, op,
+                column_name=column_name,
+                predicate=payload.get("predicate"),
             )
             for shard in self.pool.shards
         }
         total_valid = self._prepare_all(states)
-        engine._validate_k(k, total_valid)
-        threshold = self._distributed_kth(states, column.bits, k)
-        threshold_value = column.from_stored(threshold)
+        targets = aggregates.order_targets(
+            op, total_valid, k=k, fractions=payload.get("fractions")
+        )
+        extremum = _extremum_of(op, k)
+        if extremum is not None:
+            stored = [self._extremum(states, column.bits, extremum)]
+        else:
+            count = self._search_counter(states, column.bits)
+            stored = [
+                aggregates.bit_search(count, column.bits, target)
+                for target in targets
+            ]
+        values = [column.from_stored(value) for value in stored]
+        if op == "quantiles":
+            value: Any = values
+        elif op == "top_k":
+            value = self._mark_top_k(states, column, values[0], stored[0])
+        else:
+            value = values[0]
+        parts = self._harvest(
+            list(states.values()), lambda s: s.valid_count
+        )
+        return self._combined(op, value, parts, combiner=extremum)
+
+    def _mark_top_k(
+        self,
+        states: dict[int, _ShardState],
+        column: Any,
+        threshold: Any,
+        stored_threshold: int,
+    ) -> TopK:
+        """The single-device mark pass on every shard, ids offset by
+        the shard start and concatenated in shard order."""
+        depth = column.normalize(threshold)
 
         def mark(state: _ShardState) -> np.ndarray:
             # The INCR pass consumes the prepared mask: if anything
             # after it faults, the retry must rebuild the mask first or
             # surviving records would be bumped twice.
             state.prepared = False
-            device = state.shard.engine.device
-            stencil = device.state.stencil
-            stencil.enabled = True
-            stencil.func = CompareFunc.EQUAL
-            stencil.reference = state.valid
-            stencil.sfail = StencilOp.KEEP
-            stencil.zfail = StencilOp.KEEP
-            stencil.zpass = StencilOp.INCR
-            compare_pass(
-                device, CompareFunc.GEQUAL,
-                column.normalize(threshold_value),
-                state.texture.count,
+            return aggregates.mark_top_k(
+                state.shard.engine.device, state.texture, state.valid,
+                depth, state.shard.num_records,
             )
-            # Written by the compare_pass directly above — it cannot be
-            # stale.  # repro-lint: disable=unchecked-stencil-read
-            mask = device.read_stencil()
-            ids = np.flatnonzero(mask == state.valid + 1)
-            return ids[ids < state.shard.num_records]
 
-        def cpu(shard: Shard) -> np.ndarray:
-            state = self._cpu_state(states[shard.index])
-            hits = state.cpu_mask & (state.cpu_stored >= threshold)
-            return np.flatnonzero(hits)
-
-        id_parts = self.pool.map(
-            lambda shard: self._shard_call(
-                shard,
-                lambda s: self._guarded(
-                    states[s.index], lambda: mark(states[s.index])
-                ),
-                cpu,
+        def cpu(state: _ShardState) -> np.ndarray:
+            return np.flatnonzero(
+                state.cpu_mask & (state.cpu_stored >= stored_threshold)
             )
-        )
+
+        id_parts = self._on_shards(states, mark, cpu)
         ids = np.concatenate(
             [
                 np.asarray(part, dtype=np.int64) + shard.start
                 for part, shard in zip(id_parts, self.pool.shards)
             ]
         )
-        parts = self._harvest(
-            list(states.values()), lambda s: s.valid_count
-        )
-        return self._combined(
-            "top_k",
-            TopK(threshold=threshold_value, record_ids=ids),
-            parts,
-        )
+        return TopK(threshold=threshold, record_ids=ids)

@@ -22,6 +22,18 @@ class AggregateFunc(enum.Enum):
     MEDIAN = "MEDIAN"
 
 
+#: SQL aggregate -> engine op name (the ``GpuEngine.aggregate`` /
+#: schedule op, and the ``CpuEngine`` method of the same name).
+AGGREGATE_OPS = {
+    AggregateFunc.COUNT: "count",
+    AggregateFunc.SUM: "sum",
+    AggregateFunc.AVG: "average",
+    AggregateFunc.MIN: "minimum",
+    AggregateFunc.MAX: "maximum",
+    AggregateFunc.MEDIAN: "median",
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class AggregateItem:
     """``FUNC(column)`` or ``COUNT(*)``."""

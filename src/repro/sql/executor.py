@@ -31,6 +31,7 @@ from ..gpu.counters import PipelineStats
 from ..plan import PassSchedule, lower_statement
 from ..trace import Trace, Tracer
 from .ast import (
+    AGGREGATE_OPS,
     AggregateFunc,
     AggregateItem,
     ColumnItem,
@@ -297,15 +298,7 @@ class Database:
                 func = getattr(item, "func", None)
                 if func is None:
                     continue
-                key = {
-                    "COUNT": "count",
-                    "SUM": "sum",
-                    "AVG": "average",
-                    "MIN": "minimum",
-                    "MAX": "maximum",
-                    "MEDIAN": "median",
-                }.get(func.value)
-                label = COMBINERS.get(key or "", None)
+                label = COMBINERS.get(AGGREGATE_OPS[func])
                 if label and label not in labels:
                     labels.append(label)
             combiner = (
@@ -570,9 +563,7 @@ class Database:
         engine = self.gpu_engine(statement.table)
         predicate = statement.where
         if statement.group_by is not None:
-            return self._execute_grouped(
-                statement, engine, self._gpu_aggregate
-            )
+            return self._execute_grouped(statement, engine)
         if statement.is_aggregate:
             probe_count = None
             if predicate is not None:
@@ -595,10 +586,7 @@ class Database:
                     row.append(probe_count)
                     continue
                 row.append(
-                    self._aggregate_or_null(
-                        engine, item, predicate, empty,
-                        self._gpu_aggregate,
-                    )
+                    self._aggregate_or_null(engine, item, predicate, empty)
                 )
             return [tuple(row)], labels
         return self._project(
@@ -612,48 +600,35 @@ class Database:
             return np.arange(engine.relation.num_records)
         return self._note_op(engine.select(predicate)).record_ids()
 
-    @staticmethod
-    def _aggregate_or_null(engine, item, predicate, empty, aggregate):
+    def _aggregate_or_null(self, engine, item, predicate, empty):
         """SQL semantics over empty selections: COUNT(*) is 0, every
         other aggregate is NULL (None)."""
         if empty and isinstance(item, AggregateItem):
             if item.func is AggregateFunc.COUNT:
                 return 0
             return None
-        return aggregate(engine, item, predicate)
+        return self._aggregate(engine, item, predicate)
 
-    def _gpu_aggregate(self, engine: GpuEngine, item, predicate):
+    def _aggregate(self, engine: GpuEngine | CpuEngine, item, predicate):
+        """One aggregate item on either engine: both expose the
+        :data:`~repro.sql.ast.AGGREGATE_OPS` names as methods."""
         if not isinstance(item, AggregateItem):
             raise SqlPlanError(
                 "mixing aggregates with plain columns is not supported "
                 "(aggregate queries return one row per group)"
             )
-        func = item.func
-        if func is AggregateFunc.COUNT:
+        op = AGGREGATE_OPS[item.func]
+        if op == "count":
             return self._note_op(engine.count(predicate)).value
-        if func is AggregateFunc.SUM:
-            return self._note_op(engine.sum(item.column, predicate)).value
-        if func is AggregateFunc.AVG:
-            return self._note_op(
-                engine.average(item.column, predicate)
-            ).value
-        if func is AggregateFunc.MIN:
-            return self._note_op(
-                engine.minimum(item.column, predicate)
-            ).value
-        if func is AggregateFunc.MAX:
-            return self._note_op(
-                engine.maximum(item.column, predicate)
-            ).value
-        return self._note_op(engine.median(item.column, predicate)).value
+        return self._note_op(
+            getattr(engine, op)(item.column, predicate)
+        ).value
 
     def _execute_cpu(self, statement: SelectStatement):
         engine = self.cpu_engine(statement.table)
         predicate = statement.where
         if statement.group_by is not None:
-            return self._execute_grouped(
-                statement, engine, self._cpu_aggregate
-            )
+            return self._execute_grouped(statement, engine)
         if statement.is_aggregate:
             empty = (
                 predicate is not None
@@ -664,10 +639,7 @@ class Database:
             for item in statement.items:
                 labels.append(item.label)
                 row.append(
-                    self._aggregate_or_null(
-                        engine, item, predicate, empty,
-                        self._cpu_aggregate,
-                    )
+                    self._aggregate_or_null(engine, item, predicate, empty)
                 )
             return [tuple(row)], labels
         if predicate is None:
@@ -676,33 +648,7 @@ class Database:
             ids = self._note_op(engine.select(predicate)).record_ids()
         return self._project(engine.relation, ids, statement.items)
 
-    def _cpu_aggregate(self, engine: CpuEngine, item, predicate):
-        if not isinstance(item, AggregateItem):
-            raise SqlPlanError(
-                "mixing aggregates with plain columns is not supported "
-                "(aggregate queries return one row per group)"
-            )
-        func = item.func
-        if func is AggregateFunc.COUNT:
-            return self._note_op(engine.count(predicate)).value
-        if func is AggregateFunc.SUM:
-            return self._note_op(engine.sum(item.column, predicate)).value
-        if func is AggregateFunc.AVG:
-            return self._note_op(
-                engine.average(item.column, predicate)
-            ).value
-        if func is AggregateFunc.MIN:
-            return self._note_op(
-                engine.minimum(item.column, predicate)
-            ).value
-        if func is AggregateFunc.MAX:
-            return self._note_op(
-                engine.maximum(item.column, predicate)
-            ).value
-        return self._note_op(engine.median(item.column, predicate)).value
-
-    def _execute_grouped(self, statement: SelectStatement, engine,
-                         aggregate):
+    def _execute_grouped(self, statement: SelectStatement, engine):
         """GROUP BY: one masked aggregation sweep per distinct group
         value, using the engine's stencil/mask selection machinery."""
         from ..core.predicates import And, Comparison
@@ -729,7 +675,7 @@ class Database:
                 continue  # the WHERE clause emptied this group
             row = [int(key)]
             for item in statement.items:
-                row.append(aggregate(engine, item, predicate))
+                row.append(self._aggregate(engine, item, predicate))
             rows.append(tuple(row))
         return rows, labels
 

@@ -407,26 +407,14 @@ class StreamEngine:
                 channel=channel, valid_stencil=valid,
             )
             return total / valid_count
-        if query.kind == "maximum":
-            return aggregates.maximum(
-                device, texture, meta.bits, scale,
-                channel=channel, valid_stencil=valid,
-            )
-        if query.kind == "minimum":
-            return aggregates.minimum(
-                device, texture, meta.bits, scale, valid_count,
-                channel=channel, valid_stencil=valid,
-            )
-        if query.kind == "median":
-            return aggregates.median(
-                device, texture, meta.bits, scale, valid_count,
-                channel=channel, valid_stencil=valid,
-            )
-        # kth_largest
-        if query.k > valid_count:
+        # Order statistics: a window too small for k answers None.
+        if query.kind == "kth_largest" and query.k > valid_count:
             return None
+        (rank,) = aggregates.order_targets(
+            query.kind, valid_count, k=query.k
+        )
         return aggregates.kth_largest(
-            device, texture, meta.bits, query.k, scale,
+            device, texture, meta.bits, rank, scale,
             channel=channel, valid_stencil=valid,
         )
 
@@ -436,10 +424,10 @@ class StreamEngine:
         """Host-side recomputation of one query from the window copy.
 
         Window columns are unsigned integers (stored == value), so the
-        GPU conventions reduce to plain numpy: the k-th largest is
-        ``partition(values, n - k)[n - k]`` and the median is the
-        ceil(n/2)-th largest — identical to what the rendering passes
-        converge to.
+        GPU conventions reduce to plain numpy: every order statistic is
+        the k-th largest at the rank :func:`aggregates.order_targets`
+        picks, ``partition(values, n - k)[n - k]`` — identical to what
+        the rendering passes converge to.
         """
         window = self.window_size
         if query.predicate is not None:
@@ -462,21 +450,14 @@ class StreamEngine:
         if mask is not None:
             values = values[mask]
 
-        def kth_largest(k: int) -> int:
-            index = values.size - k
-            return int(np.partition(values, index)[index])
-
         if query.kind == "sum":
             return int(values.sum())
         if query.kind == "average":
             return int(values.sum()) / valid_count
-        if query.kind == "maximum":
-            return int(values.max())
-        if query.kind == "minimum":
-            return int(values.min())
-        if query.kind == "median":
-            return kth_largest((valid_count + 1) // 2)
-        # kth_largest
-        if query.k > valid_count:
+        if query.kind == "kth_largest" and query.k > valid_count:
             return None
-        return kth_largest(query.k)
+        (rank,) = aggregates.order_targets(
+            query.kind, valid_count, k=query.k
+        )
+        index = values.size - rank
+        return int(np.partition(values, index)[index])

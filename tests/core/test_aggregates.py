@@ -94,35 +94,150 @@ class TestKthLargest:
         )
 
 
+def _order_statistic(device, texture, bits, op, valid_count, **kwargs):
+    """An order statistic the way every engine computes it: the rank
+    from ``order_targets``, then routine 4.5 at that rank."""
+    (rank,) = aggregates.order_targets(op, valid_count, **kwargs)
+    return aggregates.kth_largest(device, texture, bits, rank, 1 / (1 << bits))
+
+
 class TestOrderStatisticWrappers:
+    """MIN, MAX, median and k-th smallest are k-th largest searches at
+    the rank ``order_targets`` picks."""
+
     def test_min_max_median(self):
         values = np.array([4, 9, 1, 6, 6])
         device, texture = _setup(values)
-        assert aggregates.maximum(device, texture, 4, 1 / 16) == 9
-        assert (
-            aggregates.minimum(device, texture, 4, 1 / 16, 5) == 1
-        )
-        assert aggregates.median(device, texture, 4, 1 / 16, 5) == 6
+        assert _order_statistic(device, texture, 4, "maximum", 5) == 9
+        assert _order_statistic(device, texture, 4, "minimum", 5) == 1
+        assert _order_statistic(device, texture, 4, "median", 5) == 6
 
     def test_kth_smallest_complement(self):
         values = np.array([10, 20, 30, 40])
         device, texture = _setup(values)
-        got = aggregates.kth_smallest(
-            device, texture, 6, 2, 1 / 64, valid_count=4
-        )
+        got = _order_statistic(device, texture, 6, "kth_smallest", 4, k=2)
         assert got == 20
 
     def test_kth_smallest_validation(self):
-        device, texture = _setup(np.arange(4))
-        with pytest.raises(QueryError):
-            aggregates.kth_smallest(
-                device, texture, BITS, 5, SCALE, valid_count=4
-            )
+        with pytest.raises(QueryError, match=r"k=5 outside \[1, 4\]"):
+            aggregates.order_targets("kth_smallest", 4, k=5)
 
     def test_median_empty_rejected(self):
-        device, texture = _setup(np.arange(4))
-        with pytest.raises(QueryError):
-            aggregates.median(device, texture, BITS, SCALE, 0)
+        with pytest.raises(QueryError, match="median of an empty"):
+            aggregates.order_targets("median", 0)
+
+
+class TestOrderTargets:
+    """Every op's rank (1 = the maximum) over ``n`` valid records."""
+
+    @pytest.mark.parametrize(
+        "op, n, kwargs, ranks",
+        [
+            ("maximum", 7, {}, [1]),
+            ("minimum", 7, {}, [7]),
+            ("median", 7, {}, [4]),
+            ("median", 8, {}, [4]),
+            ("kth_largest", 7, {"k": 3}, [3]),
+            ("kth_smallest", 7, {"k": 3}, [5]),
+            ("kth_smallest", 7, {"k": 1}, [7]),
+            ("top_k", 7, {"k": 2}, [2]),
+            ("quantiles", 10, {"fractions": [0.5, 0.9, 0.99]}, [5, 1, 1]),
+            ("quantiles", 10, {"fractions": [0.0, 1.0]}, [10, 1]),
+            ("quantiles", 10, {"fractions": [0.25]}, [8]),
+        ],
+    )
+    def test_ranks(self, op, n, kwargs, ranks):
+        assert aggregates.order_targets(op, n, **kwargs) == ranks
+
+    @pytest.mark.parametrize(
+        "op, kwargs",
+        [
+            ("maximum", {}),
+            ("minimum", {}),
+            ("median", {}),
+            ("kth_largest", {"k": 1}),
+            ("kth_smallest", {"k": 1}),
+            ("top_k", {"k": 1}),
+            ("quantiles", {"fractions": [0.0, 0.5, 1.0]}),
+        ],
+    )
+    def test_single_record_is_rank_one(self, op, kwargs):
+        expected = [1] * len(kwargs.get("fractions", [None]))
+        assert aggregates.order_targets(op, 1, **kwargs) == expected
+
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            ("maximum", "MAX of an empty selection"),
+            ("minimum", "MIN of an empty selection"),
+            ("median", "median of an empty selection"),
+            ("quantiles", "quantiles of an empty selection"),
+        ],
+    )
+    def test_empty_selection_rejected(self, op, message):
+        with pytest.raises(QueryError, match=message):
+            aggregates.order_targets(op, 0, fractions=[0.5])
+
+    @pytest.mark.parametrize("op", ["kth_largest", "kth_smallest", "top_k"])
+    @pytest.mark.parametrize("k", [0, 6, None])
+    def test_k_outside_valid_records_rejected(self, op, k):
+        with pytest.raises(QueryError, match="outside"):
+            aggregates.order_targets(op, 5, k=k)
+
+    def test_unknown_op_rejected(self):
+        with pytest.raises(QueryError, match="not an order statistic"):
+            aggregates.order_targets("sum", 5)
+
+    @given(
+        values=st.lists(
+            st.integers(0, (1 << BITS) - 1), min_size=1, max_size=60
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ranks_match_sorted_order(self, values, data):
+        """Searching at each rank reproduces the sorted-order answer."""
+        n = len(values)
+        k = data.draw(st.integers(1, n))
+        descending = sorted(values, reverse=True)
+        device, texture = _setup(np.array(values))
+        expected = {
+            ("maximum", None): max(values),
+            ("minimum", None): min(values),
+            ("median", None): descending[(n + 1) // 2 - 1],
+            ("kth_largest", k): descending[k - 1],
+            ("kth_smallest", k): sorted(values)[k - 1],
+        }
+        for (op, k_arg), value in expected.items():
+            kwargs = {} if k_arg is None else {"k": k_arg}
+            assert _order_statistic(
+                device, texture, BITS, op, n, **kwargs
+            ) == value
+
+
+class TestBitSearch:
+    def test_search_over_a_host_count_function(self):
+        """``bit_search`` needs only a count function: here a host
+        count over a list stands in for the occlusion queries."""
+        values = [5, 3, 9, 9, 1]
+
+        def count_at_least(x):
+            return sum(1 for v in values if v >= x)
+
+        descending = sorted(values, reverse=True)
+        for k in range(1, len(values) + 1):
+            assert aggregates.bit_search(count_at_least, 4, k) == \
+                descending[k - 1]
+
+    def test_one_count_per_bit(self):
+        calls = []
+
+        def count_at_least(x):
+            calls.append(x)
+            return 0
+
+        assert aggregates.bit_search(count_at_least, 6, 1) == 0
+        assert calls == [32, 16, 8, 4, 2, 1]
 
 
 class TestAccumulator:
@@ -193,15 +308,22 @@ class TestCountAndAverage:
         )
 
     def test_average(self):
+        """AVG = Accumulator SUM / COUNT (section 4.3.3)."""
         values = np.array([2, 4, 6, 8])
         device, texture = _setup(values)
-        assert aggregates.average(device, texture, BITS) == 5.0
+        total = aggregates.accumulate(device, texture, BITS)
+        assert total / aggregates.count_valid(device, values.size) == 5.0
 
     def test_average_empty_rejected(self):
-        device, texture = _setup(np.array([5]))
-        _mask_stencil(device, texture, np.array([False]))
-        with pytest.raises(QueryError):
-            aggregates.average(device, texture, BITS, valid_stencil=1)
+        from repro.core import GpuEngine, Relation, col
+        from repro.core.column import Column
+
+        relation = Relation(
+            "r", [Column.integer("v", np.array([5]), bits=BITS)]
+        )
+        engine = GpuEngine(relation, shards=1)
+        with pytest.raises(QueryError, match="AVG of an empty selection"):
+            engine.average("v", col("v") > 5)
 
 
 class TestMipmapSum:

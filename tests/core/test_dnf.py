@@ -15,7 +15,7 @@ from repro.core.predicates import (
     Or,
     to_dnf,
 )
-from repro.core.select import _SimpleExecutor, _choose_normal_form
+from repro.core.select import _SimpleExecutor, choose_normal_form
 from repro.errors import QueryError, RenderStateError
 from repro.gpu import CompareFunc, Device, StencilOp
 
@@ -178,7 +178,7 @@ class TestNormalFormChoice:
                 Comparison("c", CompareFunc.LESS, 1),
             ),
         )
-        form, _clauses = _choose_normal_form(predicate)
+        form, _clauses = choose_normal_form(predicate)
         assert form == "cnf"
 
     def test_dnf_rescues_cnf_explosion(self):
@@ -193,7 +193,7 @@ class TestNormalFormChoice:
             for i in range(6)
         ]
         predicate = Or(*conjunctions)
-        form, clauses = _choose_normal_form(predicate)
+        form, clauses = choose_normal_form(predicate)
         assert form == "dnf"
         assert len(clauses) == 6
 
@@ -235,7 +235,7 @@ class TestNormalFormChoice:
         # Construct something that explodes CNF; DNF may or may not
         # survive — only assert the selector never returns silently
         # wrong structure.
-        from repro.core.select import _choose_normal_form as choose
+        from repro.core.select import choose_normal_form as choose
 
         try:
             form, clauses = choose(predicate)

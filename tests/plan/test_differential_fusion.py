@@ -173,6 +173,40 @@ class TestMeasuredMatchesCompiled:
         result = engine.histogram("data_count", 12)
         assert result.pass_count == schedule.render_passes
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            "median", "kth_largest", "kth_smallest", "quantiles",
+            "top_k", "sum", "histogram",
+        ],
+    )
+    def test_every_shard_runs_the_parent_schedule(self, relation, op):
+        """Sharded execution renders, on every shard, exactly the passes
+        the parent lowering scheduled — whether the op folds per-shard
+        results or runs the distributed bit search."""
+        from repro.plan import compiler
+
+        # Explicit shard count: the environment may set REPRO_SHARDS.
+        engine = GpuEngine(relation, shards=2)
+        if op == "histogram":
+            schedule = compiler.lower_histogram(
+                engine.relation, "data_count", 12
+            )
+            result = engine.histogram("data_count", 12)
+        else:
+            kwargs = {}
+            if op in ("kth_largest", "kth_smallest", "top_k"):
+                kwargs["k"] = 3
+            elif op == "quantiles":
+                kwargs["fractions"] = [0.5, 0.9]
+            schedule = compiler.lower_aggregate(
+                engine.relation, op, "data_count", **kwargs
+            )
+            result = engine.aggregate(op, "data_count", **kwargs)
+        assert len(result.shard_results) == 2
+        for part in result.shard_results:
+            assert part.pass_count == schedule.render_passes
+
 
 @pytest.mark.chaos
 class TestCacheUnderFaults:

@@ -101,7 +101,43 @@ class TestChokePoint:
         assert calls
 
 
+class TestMaximumSchedule:
+    """The compiler emits op ``maximum`` (``lower_aggregate`` and
+    ``lower_statement``); ``execute_schedule`` must run it."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("predicate", [None, _pred()])
+    def test_maximum_schedule_matches_named_op(
+        self, small_relation, shards, predicate
+    ):
+        engine = GpuEngine(small_relation, shards=shards)
+        schedule = compiler.lower_aggregate(
+            small_relation, "maximum", "data_count", predicate=predicate
+        )
+        result = engine.execute_schedule(schedule)
+        assert result.value == engine.maximum(
+            "data_count", predicate
+        ).value
+        if shards > 1:
+            assert result.combiner == "max over per-shard maxima"
+
+    def test_empty_selection_is_a_typed_error(self, small_relation):
+        engine = GpuEngine(small_relation, shards=1)
+        schedule = compiler.lower_aggregate(
+            small_relation, "maximum", "data_count",
+            predicate=_pred(10**9),
+        )
+        with pytest.raises(QueryError, match="MAX of an empty selection"):
+            engine.execute_schedule(schedule)
+
+
 class TestExecutorRefusals:
+    def test_sharded_and_single_device_drive_the_same_ops(self):
+        from repro.plan.executor import DRIVERS
+        from repro.shard import ShardedExecutor
+
+        assert set(ShardedExecutor._DRIVERS) == set(DRIVERS)
+
     def test_unknown_op_has_no_driver(self, small_relation):
         engine = GpuEngine(small_relation)
         schedule = compiler.lower_select(small_relation, _pred())

@@ -292,7 +292,7 @@ class TestErrorPaths:
         def boom(*_args, **_kwargs):
             raise DeviceLostError("median pass lost")
 
-        monkeypatch.setattr("repro.core.aggregates.median", boom)
+        monkeypatch.setattr("repro.core.aggregates.kth_largest", boom)
         with pytest.raises(DeviceLostError):
             engine.append(
                 {
@@ -323,7 +323,7 @@ class TestResilience:
         def boom(*_args, **_kwargs):
             raise DeviceLostError("median pass lost")
 
-        monkeypatch.setattr("repro.core.aggregates.median", boom)
+        monkeypatch.setattr("repro.core.aggregates.kth_largest", boom)
         values = (np.arange(50) * 7) % 256
         tick = engine.append(
             {"v": values, "g": np.zeros(50, dtype=np.int64)}
