@@ -1,7 +1,7 @@
 # Convenience targets; everything works without make too.
 
 .PHONY: install test test-nojit bench figures figures-paper smoke lint \
-	trace-demo chaos-concurrent bench-gate sanitize e2e-smoke
+	trace-demo chaos chaos-concurrent bench-gate sanitize e2e-smoke
 
 install:
 	python setup.py develop
@@ -51,6 +51,19 @@ sanitize:
 	PYTHONPATH=src REPRO_SAN=1 python -m pytest -q \
 		tests/shard tests/service tests/analysis
 
+# Every degraded path in one command: the CI chaos job's fault-profile
+# suite (REPRO_CHAOS_PROFILE, default mixed), the killed-shard chaos
+# tests, the killed-shard cases of the sharded differential matrix and
+# the stream queries forced onto the host path.
+chaos:
+	PYTHONPATH=src REPRO_CHAOS_PROFILE=$${REPRO_CHAOS_PROFILE:-mixed} \
+		python -m pytest -q -m chaos
+	PYTHONPATH=src python -m pytest -q tests/shard/test_chaos.py
+	PYTHONPATH=src python -m pytest -q tests/shard/test_differential.py \
+		-k killed
+	PYTHONPATH=src python -m pytest -q tests/test_streams.py \
+		-k "TestResilience or TestHostPathDifferential"
+
 # Concurrent-session chaos (REPRO_CHAOS_SESSIONS sweeps the session
 # count; CI runs 2/4/8).
 chaos-concurrent:
@@ -62,7 +75,7 @@ chaos-concurrent:
 bench-gate:
 	PYTHONPATH=src python -m repro.bench --snapshot /tmp/BENCH_current.json
 	PYTHONPATH=src python -m repro.bench.compare /tmp/BENCH_current.json \
-		--against BENCH_12.json
+		--against BENCH_14.json
 
 # Trace the figure-9 workload (selection + masked median) per pass;
 # writes traces/fig9.txt (pass tree) and traces/fig9.json (load in

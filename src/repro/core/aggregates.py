@@ -177,6 +177,22 @@ def kth_largest_multi(
     return [bit_search(count, bits, k) for k in ks]
 
 
+#: Ops both engines' ``aggregate`` accepts; their named methods are
+#: thin wrappers over it.
+AGGREGATE_OPS = (
+    "count",
+    "sum",
+    "average",
+    "minimum",
+    "maximum",
+    "median",
+    "kth_largest",
+    "kth_smallest",
+    "quantiles",
+    "top_k",
+)
+
+
 #: Empty-selection error label of the ops whose rank depends only on
 #: the valid-record count.
 _EMPTY_LABELS = {
@@ -219,6 +235,28 @@ def order_targets(
     if op == "median":
         return [(n + 1) // 2]
     return [min(max(math.ceil((1.0 - q) * n), 1), n) for q in fractions]
+
+
+def histogram_edges(column, buckets: int) -> np.ndarray:
+    """The integer bucket edges both engines share, spanning the value
+    range ``[lo, lo + 2**bits)`` (lo = -bias for signed columns).
+
+    Raises :class:`QueryError` for a non-integer column — a
+    fixed-point column's stored width is not its value range — or
+    fewer than one bucket.
+    """
+    if not column.is_integer:
+        raise QueryError("histogram requires an integer column")
+    if buckets < 1:
+        raise QueryError(f"need at least one bucket, got {buckets}")
+    lo = int(column.lo)
+    top = lo + (1 << column.bits)
+    edges = np.unique(
+        np.floor(np.linspace(lo, top, buckets + 1)).astype(np.int64)
+    )
+    if edges[-1] != top:
+        edges[-1] = top
+    return edges
 
 
 def mark_top_k(
@@ -297,15 +335,17 @@ def accumulate(
         state.alpha.enabled = False
 
     queries = []
-    for i in range(bits):
-        device.set_program_parameter(0, 1.0 / float(1 << (i + 1)))
-        query = device.begin_query()
-        device.render_textured_quad(texture)
-        device.end_query()
-        queries.append(query)
-
-    device.set_program(None)
-    state.alpha.enabled = False
+    try:
+        for i in range(bits):
+            device.set_program_parameter(0, 1.0 / float(1 << (i + 1)))
+            query = device.begin_query()
+            device.render_textured_quad(texture)
+            device.end_query()
+            queries.append(query)
+    finally:
+        # Also on a fault (see copy_to_depth).
+        device.set_program(None)
+        state.alpha.enabled = False
 
     total = 0
     for i, query in enumerate(queries):

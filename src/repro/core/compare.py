@@ -56,12 +56,16 @@ def copy_to_depth(
     state.depth.write = True
 
     device.set_program(_copy_program(channel))
-    device.set_program_parameter(0, scale)
-    device.render_textured_quad(texture)
-    device.set_program(None)
-
-    state.depth.write = False
-    state.stencil.enabled = stencil_was_enabled
+    try:
+        device.set_program_parameter(0, scale)
+        device.render_textured_quad(texture)
+    finally:
+        # Also on a fault: a program left bound would run under the
+        # next fixed-function quad, e.g. another context's comparison
+        # whose depth cache skips this copy.
+        device.set_program(None)
+        state.depth.write = False
+        state.stencil.enabled = stencil_was_enabled
 
 
 def compare_pass(

@@ -23,6 +23,7 @@ from ..cpu.quickselect import quickselect as hoare_quickselect
 from ..cpu.cost import CpuCostModel
 from ..errors import QueryError
 from ..trace import current_tracer
+from . import aggregates
 from .polynomial import Polynomial
 from .predicates import (
     And,
@@ -143,13 +144,6 @@ class CpuEngine:
             self.tracer.end(span, modeled_ms=result.modeled_ms)
         return result
 
-    @staticmethod
-    def _validate_k(k: int, valid_count: int) -> None:
-        if not 1 <= k <= valid_count:
-            raise QueryError(
-                f"k={k} outside [1, {valid_count}] valid records"
-            )
-
     # -- selection ---------------------------------------------------------------
 
     def select(self, predicate: Predicate) -> CpuSelection:
@@ -166,28 +160,23 @@ class CpuEngine:
         ))
 
     def count(self, predicate: Predicate | None = None) -> CpuOpResult:
-        if predicate is not None:
-            return self.select(predicate)
-        span = self._begin("count")
-        records = self.relation.num_records
-        return self._finish(span, CpuOpResult(
-            value=records, modeled_s=self.cost_model.count_s(records)
-        ))
+        return self.aggregate("count", predicate=predicate)
 
     def selectivity(self, predicate: Predicate) -> float:
         return self.select(predicate).selectivity
 
     # -- helpers -----------------------------------------------------------------------
 
-    def _column_values(
-        self, column_name: str, predicate: Predicate | None
-    ) -> tuple[np.ndarray, float, int]:
-        """Selected values, the selectivity, and total records scanned.
+    def select_values(
+        self, column_name: str, predicate: Predicate | None = None
+    ) -> tuple[np.ndarray, CpuSelection | None]:
+        """The values of the records ``predicate`` selects, plus its
+        :class:`CpuSelection` (``None`` without a WHERE).
 
-        Bit-sliceable columns (integer / fixed-point) are returned in
+        Bit-sliceable columns (integer / fixed-point) come back in
         their *stored* integer domain so order statistics and sums use
         exactly the arithmetic the GPU's bit-sliced algorithms use;
-        callers map results back with ``_from_stored``.
+        results map back through ``from_stored`` / ``sum_from_stored``.
         """
         column = self.relation.column(column_name)
         if column.supports_bit_slicing:
@@ -195,13 +184,18 @@ class CpuEngine:
         else:
             values = column.values
         if predicate is None:
-            return values, 1.0, self.relation.num_records
+            return values, None
         selection = self.select(predicate)
-        return (
-            values[selection.mask],
-            selection.selectivity,
-            self.relation.num_records,
-        )
+        return values[selection.mask], selection
+
+    def stored_sum(
+        self, column_name: str, predicate: Predicate | None = None
+    ) -> tuple[int, int]:
+        """The SUM/AVG body: ``(stored_total, valid_count)`` over the
+        selection (CPU twin of
+        :meth:`~repro.plan.executor.ScheduleExecutor.stored_sum`)."""
+        values, _selection = self.select_values(column_name, predicate)
+        return cpu_aggregate.exact_sum(values), int(values.size)
 
     def _from_stored(self, column_name: str, stored):
         column = self.relation.column(column_name)
@@ -209,10 +203,23 @@ class CpuEngine:
             return column.from_stored(stored)
         return stored
 
-    def _select_kth(self, values: np.ndarray, k: int) -> float:
+    def _sum_from_stored(self, column_name: str, total, count: int):
+        """Map a stored-domain SUM back to value units (the per-value
+        bias does not distribute over a sum)."""
+        column = self.relation.column(column_name)
+        if column.supports_bit_slicing:
+            return column.sum_from_stored(total, count)
+        return total
+
+    def _select_kth(self, values: np.ndarray, k: int) -> int:
+        # The extreme ranks (MIN, MAX) are one scan, as they are priced.
+        if k == 1:
+            return int(cpu_aggregate.maximum(values))
+        if k == values.size:
+            return int(cpu_aggregate.minimum(values))
         if self.faithful_quickselect:
-            return hoare_quickselect(values, k)
-        return partition_select(values, k)
+            return int(hoare_quickselect(values, k))
+        return int(partition_select(values, k))
 
     def _order_statistic_cost(
         self,
@@ -232,81 +239,142 @@ class CpuEngine:
             records, selectivity, k
         )
 
-    # -- order statistics ------------------------------------------------------------------
+    # -- aggregates ----------------------------------------------------------------------
+
+    #: Ops :meth:`aggregate` accepts — the same set as
+    #: :meth:`GpuEngine.aggregate <repro.core.engine.GpuEngine.aggregate>`.
+    AGGREGATE_OPS = aggregates.AGGREGATE_OPS
+
+    def aggregate(
+        self,
+        op: str,
+        column_name: str | None = None,
+        predicate: Predicate | None = None,
+        *,
+        k: int | None = None,
+        fractions: list[float] | None = None,
+    ) -> CpuOpResult:
+        """Single entry point for every aggregate operation (CPU twin
+        of :meth:`~repro.core.engine.GpuEngine.aggregate`); the named
+        methods are thin wrappers over it.
+
+        Every order statistic is QuickSelect at the k-th-largest ranks
+        :func:`~repro.core.aggregates.order_targets` picks — the rank
+        table the GPU's bit search uses, with its k-range and
+        empty-selection errors.  Modeled time: SUM, AVG, MIN and MAX
+        are one scan; the other order statistics pay (selection scan,
+        compaction and) one QuickSelect per rank, the median priced at
+        ``k=None``.
+        """
+        if op not in self.AGGREGATE_OPS:
+            raise QueryError(
+                f"unknown aggregate op {op!r}; expected one of "
+                f"{', '.join(self.AGGREGATE_OPS)}"
+            )
+        records = self.relation.num_records
+        if op == "count":
+            if predicate is not None:
+                # A counted WHERE is exactly a selection.
+                return self.select(predicate)
+            span = self._begin("count")
+            return self._finish(span, CpuOpResult(
+                value=records, modeled_s=self.cost_model.count_s(records)
+            ))
+        if column_name is None:
+            raise QueryError(f"aggregate {op!r} needs a column")
+        if op in ("kth_largest", "kth_smallest", "top_k"):
+            # Rejects k outside [1, num_records] before the scan.
+            aggregates.order_targets(op, records, k=k)
+        if op == "quantiles":
+            if not fractions:
+                raise QueryError(
+                    "quantiles() needs at least one fraction"
+                )
+            if any(not 0.0 <= q <= 1.0 for q in fractions):
+                raise QueryError(
+                    f"fractions must lie in [0, 1], got {fractions}"
+                )
+        attrs: dict = {"column": column_name}
+        if k is not None:
+            attrs["k"] = k
+        if fractions is not None:
+            attrs["fractions"] = list(fractions)
+        span = self._begin(op, **attrs)
+        try:
+            value, modeled = self._aggregate(
+                op, column_name, predicate, k, fractions
+            )
+        except BaseException:
+            if span is not None:
+                self.tracer.end(span)
+            raise
+        return self._finish(
+            span, CpuOpResult(value=value, modeled_s=modeled)
+        )
+
+    def _aggregate(self, op, column_name, predicate, k, fractions):
+        """``(value, modeled_s)`` of one validated aggregate."""
+        from .engine import TopK
+
+        records = self.relation.num_records
+        values, selection = self.select_values(column_name, predicate)
+        if op in ("sum", "average"):
+            if op == "average" and values.size == 0:
+                raise QueryError("AVG of an empty selection")
+            value = self._sum_from_stored(
+                column_name, cpu_aggregate.exact_sum(values), values.size
+            )
+            if op == "average":
+                value = value / values.size
+            return value, self.cost_model.sum_s(records)
+        ranks = aggregates.order_targets(
+            op, values.size, k=k, fractions=fractions
+        )
+        stored = [self._select_kth(values, rank) for rank in ranks]
+        found = [self._from_stored(column_name, s) for s in stored]
+        if op == "quantiles":
+            value = found
+        elif op == "top_k":
+            ids = np.flatnonzero(values >= stored[0])
+            if selection is not None:
+                ids = np.flatnonzero(selection.mask)[ids]
+            value = TopK(threshold=found[0], record_ids=ids)
+        else:
+            value = found[0]
+        if op in ("minimum", "maximum"):
+            return value, self.cost_model.sum_s(records)
+        selectivity = 1.0 if selection is None else selection.selectivity
+        if op == "median":
+            cost_ks: list = [None]
+        elif op == "kth_smallest":
+            cost_ks = [k]  # priced at the caller's k, not its rank
+        else:
+            cost_ks = ranks
+        return value, sum(
+            self._order_statistic_cost(
+                records, selectivity, predicate, cost_k
+            )
+            for cost_k in cost_ks
+        )
 
     def kth_largest(
         self, column_name: str, k: int, predicate: Predicate | None = None
     ) -> CpuOpResult:
-        self._validate_k(k, self.relation.num_records)
-        span = self._begin("kth_largest", column=column_name, k=k)
-        values, selectivity, records = self._column_values(
-            column_name, predicate
-        )
-        self._validate_k(k, values.size)
-        value = self._select_kth(values, k)
-        return self._finish(span, CpuOpResult(
-            value=self._from_stored(column_name, int(value)),
-            modeled_s=self._order_statistic_cost(
-                records, selectivity, predicate, k
-            ),
-        ))
+        return self.aggregate("kth_largest", column_name, predicate, k=k)
 
     def kth_smallest(
         self, column_name: str, k: int, predicate: Predicate | None = None
     ) -> CpuOpResult:
-        self._validate_k(k, self.relation.num_records)
-        span = self._begin("kth_smallest", column=column_name, k=k)
-        values, selectivity, records = self._column_values(
-            column_name, predicate
-        )
-        self._validate_k(k, values.size)
-        value = self._select_kth(values, values.size - k + 1)
-        return self._finish(span, CpuOpResult(
-            value=self._from_stored(column_name, int(value)),
-            modeled_s=self._order_statistic_cost(
-                records, selectivity, predicate, k
-            ),
-        ))
+        return self.aggregate("kth_smallest", column_name, predicate, k=k)
 
     def maximum(self, column_name, predicate=None) -> CpuOpResult:
-        span = self._begin("maximum", column=column_name)
-        values, _sel, records = self._column_values(column_name, predicate)
-        if values.size == 0:
-            raise QueryError("MAX of an empty selection")
-        return self._finish(span, CpuOpResult(
-            value=self._from_stored(
-                column_name, int(cpu_aggregate.maximum(values))
-            ),
-            modeled_s=self.cost_model.sum_s(records),
-        ))
+        return self.aggregate("maximum", column_name, predicate)
 
     def minimum(self, column_name, predicate=None) -> CpuOpResult:
-        span = self._begin("minimum", column=column_name)
-        values, _sel, records = self._column_values(column_name, predicate)
-        if values.size == 0:
-            raise QueryError("MIN of an empty selection")
-        return self._finish(span, CpuOpResult(
-            value=self._from_stored(
-                column_name, int(cpu_aggregate.minimum(values))
-            ),
-            modeled_s=self.cost_model.sum_s(records),
-        ))
+        return self.aggregate("minimum", column_name, predicate)
 
     def median(self, column_name, predicate=None) -> CpuOpResult:
-        span = self._begin("median", column=column_name)
-        values, selectivity, records = self._column_values(
-            column_name, predicate
-        )
-        if values.size == 0:
-            raise QueryError("median of an empty selection")
-        k = (values.size + 1) // 2
-        value = self._select_kth(values, k)
-        return self._finish(span, CpuOpResult(
-            value=self._from_stored(column_name, int(value)),
-            modeled_s=self._order_statistic_cost(
-                records, selectivity, predicate
-            ),
-        ))
+        return self.aggregate("median", column_name, predicate)
 
     def top_k(
         self, column_name: str, k: int, predicate: Predicate | None = None
@@ -314,35 +382,7 @@ class CpuEngine:
         """Record ids of the k largest values, ties included — mirrors
         :meth:`repro.core.engine.GpuEngine.top_k`.  ``value`` has
         ``threshold`` and ``record_ids`` attributes."""
-        from .engine import TopK
-
-        column = self.relation.column(column_name)
-        self._validate_k(k, self.relation.num_records)
-        span = self._begin("top_k", column=column_name, k=k)
-        if column.supports_bit_slicing:
-            values = column.stored_values()
-        else:
-            values = column.values
-        if predicate is None:
-            mask = np.ones(values.size, dtype=bool)
-            selectivity = 1.0
-        else:
-            selection = self.select(predicate)
-            mask = selection.mask
-            selectivity = selection.selectivity
-        selected = values[mask]
-        self._validate_k(k, selected.size)
-        threshold = int(self._select_kth(selected, k))
-        ids = np.flatnonzero(mask & (values >= threshold))
-        return self._finish(span, CpuOpResult(
-            value=TopK(
-                threshold=self._from_stored(column_name, threshold),
-                record_ids=ids,
-            ),
-            modeled_s=self._order_statistic_cost(
-                self.relation.num_records, selectivity, predicate, k
-            ),
-        ))
+        return self.aggregate("top_k", column_name, predicate, k=k)
 
     def quantiles(
         self,
@@ -352,39 +392,17 @@ class CpuEngine:
     ) -> CpuOpResult:
         """Quantile ladder (CPU twin of
         :meth:`~repro.core.engine.GpuEngine.quantiles`)."""
-        import math
+        return self.aggregate(
+            "quantiles", column_name, predicate, fractions=fractions
+        )
 
-        span = self._begin(
-            "quantiles", column=column_name, fractions=list(fractions)
-        )
-        values, selectivity, records = self._column_values(
-            column_name, predicate
-        )
-        if not fractions:
-            raise QueryError("quantiles() needs at least one fraction")
-        if any(not 0.0 <= q <= 1.0 for q in fractions):
-            raise QueryError(
-                f"fractions must lie in [0, 1], got {fractions}"
-            )
-        if values.size == 0:
-            raise QueryError("quantiles of an empty selection")
-        out = []
-        modeled = 0.0
-        for q in fractions:
-            k = min(
-                max(math.ceil((1.0 - q) * values.size), 1), values.size
-            )
-            out.append(
-                self._from_stored(
-                    column_name, int(self._select_kth(values, k))
-                )
-            )
-            modeled += self._order_statistic_cost(
-                records, selectivity, predicate, k
-            )
-        return self._finish(
-            span, CpuOpResult(value=out, modeled_s=modeled)
-        )
+    def sum(self, column_name, predicate=None) -> CpuOpResult:
+        return self.aggregate("sum", column_name, predicate)
+
+    def average(self, column_name, predicate=None) -> CpuOpResult:
+        return self.aggregate("average", column_name, predicate)
+
+    # -- batched scans -------------------------------------------------------------------
 
     def selectivities(self, predicates) -> CpuOpResult:
         """Batched selectivity analysis (CPU twin of
@@ -411,26 +429,13 @@ class CpuEngine:
     def histogram(
         self, column_name: str, buckets: int = 32
     ) -> CpuOpResult:
-        """Bucketed value counts with the same integer edges as the GPU
-        histogram.  ``value`` is ``(edges, counts)``."""
+        """Bucketed value counts over the GPU histogram's integer edges
+        (:func:`~repro.core.aggregates.histogram_edges`).  ``value`` is
+        ``(edges, counts)``."""
         column = self.relation.column(column_name)
-        if not column.is_integer:
-            raise QueryError("histogram requires an integer column")
-        if buckets < 1:
-            raise QueryError(f"need at least one bucket, got {buckets}")
+        edges = aggregates.histogram_edges(column, buckets)
         span = self._begin("histogram", column=column_name,
                            buckets=buckets)
-        # Same value-domain edges as the GPU histogram: [lo, lo+2**bits)
-        # (lo = -bias for bias-encoded signed columns).
-        lo = int(column.lo)
-        top = lo + (1 << column.bits)
-        edges = np.unique(
-            np.floor(np.linspace(lo, top, buckets + 1)).astype(
-                np.int64
-            )
-        )
-        if edges[-1] != top:
-            edges[-1] = top
         counts, _bins = np.histogram(
             column.values.astype(np.int64), bins=edges
         )
@@ -438,37 +443,4 @@ class CpuEngine:
         return self._finish(span, CpuOpResult(
             value=(edges, counts.astype(np.int64)),
             modeled_s=self.cost_model.predicate_scan_s(records),
-        ))
-
-    # -- aggregation -----------------------------------------------------------------------
-
-    def _sum_from_stored(self, column_name: str, total, count: int):
-        """Map a stored-domain SUM back to value units (the per-value
-        bias does not distribute over a sum)."""
-        column = self.relation.column(column_name)
-        if column.supports_bit_slicing:
-            return column.sum_from_stored(total, count)
-        return total
-
-    def sum(self, column_name, predicate=None) -> CpuOpResult:
-        span = self._begin("sum", column=column_name)
-        values, _sel, records = self._column_values(column_name, predicate)
-        return self._finish(span, CpuOpResult(
-            value=self._sum_from_stored(
-                column_name, cpu_aggregate.exact_sum(values), values.size
-            ),
-            modeled_s=self.cost_model.sum_s(records),
-        ))
-
-    def average(self, column_name, predicate=None) -> CpuOpResult:
-        span = self._begin("average", column=column_name)
-        values, _sel, records = self._column_values(column_name, predicate)
-        if values.size == 0:
-            raise QueryError("AVG of an empty selection")
-        return self._finish(span, CpuOpResult(
-            value=self._sum_from_stored(
-                column_name, cpu_aggregate.exact_sum(values), values.size
-            )
-            / values.size,
-            modeled_s=self.cost_model.sum_s(records),
         ))

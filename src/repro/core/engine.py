@@ -925,18 +925,7 @@ class GpuEngine:
 
     #: Ops :meth:`aggregate` accepts; the named methods are thin
     #: wrappers over :meth:`aggregate`.
-    AGGREGATE_OPS = (
-        "count",
-        "sum",
-        "average",
-        "minimum",
-        "maximum",
-        "median",
-        "kth_largest",
-        "kth_smallest",
-        "quantiles",
-        "top_k",
-    )
+    AGGREGATE_OPS = aggregates.AGGREGATE_OPS
 
     @_resilient
     def aggregate(

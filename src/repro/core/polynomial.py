@@ -174,7 +174,9 @@ def polynomial_pass(device, texture, predicate: Polynomial) -> None:
     state.depth_bounds.enabled = False
     state.alpha.enabled = False
     device.set_program(program)
-    device.set_program_parameter(0, coefficients)
-    device.set_program_parameter(1, predicate.constant)
-    device.render_textured_quad(texture)
-    device.set_program(None)
+    try:
+        device.set_program_parameter(0, coefficients)
+        device.set_program_parameter(1, predicate.constant)
+        device.render_textured_quad(texture)
+    finally:
+        device.set_program(None)

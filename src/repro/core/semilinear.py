@@ -71,10 +71,12 @@ def semilinear_pass(
     state.depth_bounds.enabled = False
     state.alpha.enabled = False
     device.set_program(_program(op))
-    device.set_program_parameter(0, padded)
-    device.set_program_parameter(1, float(constant))
-    device.render_textured_quad(texture)
-    device.set_program(None)
+    try:
+        device.set_program_parameter(0, padded)
+        device.set_program_parameter(1, float(constant))
+        device.render_textured_quad(texture)
+    finally:
+        device.set_program(None)
 
 
 def semilinear_count(

@@ -168,12 +168,20 @@ class ResilientExecutor:
         try:
             return self.run(fn, op=op, tracer=tracer), None
         except GpuError as error:
-            self.stats.record_fallback(op)
-            if tracer is not None:
-                tracer.record_event(
-                    "fallback",
-                    op=op,
-                    error=type(error).__name__,
-                    detail=str(error),
-                )
-            return fallback(), error
+            return self.degrade(error, fallback, op=op, tracer=tracer), error
+
+    def degrade(self, error, fallback, *, op: str = "op", tracer=None):
+        """The degrade step: count a fallback for ``op``, record the
+        ``fallback`` trace event for ``error``, then return
+        ``fallback()``.  :meth:`run_with_fallback` ends here; callers
+        whose GPU path already retried (``Database``) call it
+        directly."""
+        self.stats.record_fallback(op)
+        if tracer is not None:
+            tracer.record_event(
+                "fallback",
+                op=op,
+                error=type(error).__name__,
+                detail=str(error),
+            )
+        return fallback()

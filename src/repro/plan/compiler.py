@@ -26,8 +26,7 @@ bit-identical answers.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ..core.aggregates import histogram_edges
 from ..core.polynomial import Polynomial
 from ..core.predicates import (
     Between,
@@ -235,19 +234,6 @@ def lower_selectivities(
     ))
 
 
-def histogram_edges(column, buckets: int) -> np.ndarray:
-    """The integer bucket edges both engines share, spanning the value
-    range ``[lo, lo + 2**bits)`` (lo = -bias for signed columns)."""
-    lo = int(column.lo) if column.is_integer else 0
-    top = lo + (1 << column.bits)
-    edges = np.unique(
-        np.floor(np.linspace(lo, top, buckets + 1)).astype(np.int64)
-    )
-    if edges[-1] != top:
-        edges[-1] = top
-    return edges
-
-
 def lower_histogram(
     relation: Relation,
     column_name: str,
@@ -261,10 +247,7 @@ def lower_histogram(
     Unfused: each bucket re-runs the full range selection (stencil
     setup + copy + range quad + synchronous stall).
     """
-    column = relation.column(column_name)
-    if buckets < 1:
-        raise QueryError(f"need at least one bucket, got {buckets}")
-    edges = histogram_edges(column, buckets)
+    edges = histogram_edges(relation.column(column_name), buckets)
     num = int(edges.size - 1)
     tracker = _FusionTracker(fuse)
     nodes: list[PassNode] = []
@@ -440,7 +423,7 @@ def lower_statement(
 ) -> PassSchedule:
     """Lower a whole SQL statement to one fused schedule.
 
-    Mirrors ``Database._execute_gpu``: aggregate statements run the
+    Mirrors ``Database._execute_statement``: aggregate statements run the
     COUNT probe (one selection) and each aggregate item reuses its mask
     through the stencil cache; projections run the selection and read
     the stencil mask back (a bus transfer, not a pass).

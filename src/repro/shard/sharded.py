@@ -98,6 +98,9 @@ class Shard:
     start: int
     stop: int
     engine: object
+    #: The :class:`~repro.core.cpu_engine.CpuEngine` over the same
+    #: slice: every degraded-shard recompute runs on it.
+    cpu: object
     #: Deterministic kill switch (chaos tests, the bench harness):
     #: while True, every GPU task on this shard raises
     #: :class:`DeviceLostError` and the shard degrades to the CPU.
@@ -118,6 +121,7 @@ class ShardedDevice:
     engine."""
 
     def __init__(self, engine: Any, shards: int) -> None:
+        from ..core.cpu_engine import CpuEngine
         from ..core.engine import GpuEngine
 
         self.parent = engine
@@ -126,8 +130,9 @@ class ShardedDevice:
         for index, (start, stop) in enumerate(
             shard_bounds(relation.num_records, shards)
         ):
+            shard_relation = slice_relation(relation, start, stop)
             shard_engine = GpuEngine(
-                slice_relation(relation, start, stop),
+                shard_relation,
                 cost_model=engine.cost_model,
                 layout=engine.layout,
                 executor=engine.executor,
@@ -137,14 +142,16 @@ class ShardedDevice:
                 shards=1,
                 context_band=(index + 1) * SHARD_CID_STRIDE,
             )
+            cpu = CpuEngine(shard_relation)
             # Shard engines must not trace: the tracer is a stack and
             # shard work runs on pool threads.  The parent records
             # per-shard summary events after the join instead.  Set
-            # explicitly — the engine ctor falls back to the
+            # explicitly — both engine ctors fall back to the
             # process-wide tracer when given None.
             shard_engine.tracer = None
+            cpu.tracer = None
             self.shards.append(
-                Shard(index, start, stop, shard_engine)
+                Shard(index, start, stop, shard_engine, cpu)
             )
         self._pool: ThreadPoolExecutor | None = None
         #: Parent context cid -> per-shard mirror contexts.
@@ -319,10 +326,10 @@ class _ShardState:
     valid: int | None = None
     valid_count: int = 0
     texture: object = None
-    #: CPU mirror, populated lazily on degradation only.
-    cpu_mask: np.ndarray | None = None
-    cpu_stored: np.ndarray | None = None
+    #: CPU mirror, populated lazily on degradation only: the selected
+    #: stored values and the selection mask (None without a WHERE).
     cpu_values: np.ndarray | None = None
+    cpu_mask: np.ndarray | None = None
 
 
 class ShardedExecutor:
@@ -516,30 +523,15 @@ class ShardedExecutor:
     # -- CPU mirrors --------------------------------------------------------
 
     def _cpu_state(self, state: _ShardState) -> _ShardState:
-        """Materialize the shard's stored-domain values and predicate
+        """Materialize the shard's selected stored values and selection
         mask on the host (degraded shards only)."""
-        if state.cpu_mask is None:
-            relation = state.shard.engine.relation
-            if state.predicate is None:
-                mask = np.ones(relation.num_records, dtype=bool)
-            else:
-                mask = np.asarray(
-                    state.predicate.mask(relation), dtype=bool
-                )
-            state.cpu_mask = mask
-            if state.column_name is not None:
-                column = relation.column(state.column_name)
-                state.cpu_stored = np.rint(
-                    np.asarray(
-                        column.stored_values(), dtype=np.float64
-                    )
-                ).astype(np.int64)
-            else:
-                state.cpu_stored = np.zeros(
-                    relation.num_records, dtype=np.int64
-                )
-            state.cpu_values = state.cpu_stored[mask]
-            state.valid_count = int(np.count_nonzero(mask))
+        if state.cpu_values is None:
+            values, selection = state.shard.cpu.select_values(
+                state.column_name, state.predicate
+            )
+            state.cpu_values = values
+            state.cpu_mask = None if selection is None else selection.mask
+            state.valid_count = int(values.size)
         return state
 
     # -- result assembly ----------------------------------------------------
@@ -589,17 +581,14 @@ class ShardedExecutor:
         predicate = schedule.payload["predicate"]
 
         def cpu(shard: Shard) -> Selection:
-            relation = shard.engine.relation
-            ids = np.flatnonzero(
-                np.asarray(predicate.mask(relation), dtype=bool)
-            ).astype(np.int64)
+            ids = shard.cpu.select(predicate).record_ids()
             return Selection(
                 value=int(ids.size),
                 copy=PipelineStats(),
                 compute=PipelineStats(),
                 model=self.engine.cost_model,
                 valid_stencil=1,
-                total_records=relation.num_records,
+                total_records=shard.num_records,
                 engine=None,
                 _cached_ids=ids,
             )
@@ -628,10 +617,21 @@ class ShardedExecutor:
         """count, sum, selectivities, histogram: every shard runs the
         parent's schedule; the host folds the partial values."""
         op = schedule.op
+        payload = schedule.payload
 
         def cpu(shard: Shard) -> GpuOpResult:
+            if op == "selectivities":
+                result = shard.cpu.selectivities(payload["predicates"])
+            elif op == "histogram":
+                result = shard.cpu.histogram(
+                    payload["column"], payload["buckets"]
+                )
+            else:
+                result = shard.cpu.aggregate(
+                    op, payload["column"], payload["predicate"]
+                )
             return GpuOpResult(
-                value=self._host_partial(schedule, shard),
+                value=result.value,
                 copy=PipelineStats(),
                 compute=PipelineStats(),
                 model=self.engine.cost_model,
@@ -651,44 +651,6 @@ class ShardedExecutor:
         else:
             value = fold(op, partials)
         return self._combined(op, value, parts)
-
-    def _host_partial(self, schedule: Any, shard: Shard) -> Any:
-        """A degraded shard's partial for a folded op, recomputed from
-        its slice on the host."""
-        op = schedule.op
-        payload = schedule.payload
-        relation = shard.engine.relation
-        if op == "count":
-            return shard.num_records
-        if op == "selectivities":
-            return [
-                int(np.count_nonzero(p.mask(relation)))
-                for p in payload["predicates"]
-            ]
-        column = relation.column(payload["column"])
-        if op == "sum":
-            state = self._cpu_state(
-                _ShardState(
-                    shard, op,
-                    column_name=payload["column"],
-                    predicate=payload.get("predicate"),
-                )
-            )
-            total = int(state.cpu_values.sum()) if state.valid_count else 0
-            return column.sum_from_stored(total, state.valid_count)
-        # histogram: the depth-bounds semantics of the fused sweep —
-        # bucket i counts values in [edges[i], edges[i+1] - 1], domains
-        # clamped exactly as column.clamp_to_domain does.
-        edges = payload["edges"]
-        values = np.asarray(column.values)
-        counts = np.zeros(edges.size - 1, dtype=np.int64)
-        for i in range(edges.size - 1):
-            low = column.clamp_to_domain(int(edges[i]))
-            high = column.clamp_to_domain(int(edges[i + 1] - 1))
-            counts[i] = int(
-                np.count_nonzero((values >= low) & (values <= high))
-            )
-        return edges, counts
 
     def _run_average(self, schedule: Any) -> Any:
         column_name = schedule.payload["column"]
@@ -713,11 +675,7 @@ class ShardedExecutor:
             )
 
         def cpu(shard: Shard) -> Any:
-            state = self._cpu_state(states[shard.index])
-            total = (
-                int(state.cpu_values.sum()) if state.valid_count else 0
-            )
-            return total, state.valid_count
+            return shard.cpu.stored_sum(column_name, predicate)
 
         partials = self.pool.map(
             lambda shard: self._shard_call(shard, gpu, cpu)
@@ -892,9 +850,10 @@ class ShardedExecutor:
             )
 
         def cpu(state: _ShardState) -> np.ndarray:
-            return np.flatnonzero(
-                state.cpu_mask & (state.cpu_stored >= stored_threshold)
-            )
+            ids = np.flatnonzero(state.cpu_values >= stored_threshold)
+            if state.cpu_mask is not None:
+                ids = np.flatnonzero(state.cpu_mask)[ids]
+            return ids
 
         id_parts = self._on_shards(states, mark, cpu)
         ids = np.concatenate(

@@ -460,12 +460,7 @@ class Database:
         statement = plan.statement
         self._op_log = []
         try:
-            if statement.join is not None:
-                rows, columns = self._execute_join(statement, chosen)
-            elif chosen is DeviceChoice.GPU:
-                rows, columns = self._execute_gpu(statement)
-            else:
-                rows, columns = self._execute_cpu(statement)
+            rows, columns = self._run(statement, chosen)
             return rows, columns, None
         except GpuError as error:
             if chosen is not DeviceChoice.GPU:
@@ -474,21 +469,25 @@ class Database:
                 raise QueryError(
                     f"GPU execution failed: {error}"
                 ) from error
-            self.executor.stats.record_fallback("query")
-            if self._query_tracer is not None:
-                self._query_tracer.record_event(
-                    "fallback",
-                    op="query",
-                    error=type(error).__name__,
-                    detail=str(error),
-                )
-            if statement.join is not None:
-                rows, columns = self._execute_join(
-                    statement, DeviceChoice.CPU
-                )
-            else:
-                rows, columns = self._execute_cpu(statement)
+            # Engine operations already retried; degrade without
+            # another round of retries.
+            rows, columns = self.executor.degrade(
+                error,
+                lambda: self._run(statement, DeviceChoice.CPU),
+                op="query",
+                tracer=self._query_tracer,
+            )
             return rows, columns, error
+
+    def _run(self, statement: SelectStatement, device: DeviceChoice):
+        """Execute ``statement`` on ``device``'s engine."""
+        if statement.join is not None:
+            return self._execute_join(statement, device)
+        if device is DeviceChoice.GPU:
+            engine = self.gpu_engine(statement.table)
+        else:
+            engine = self.cpu_engine(statement.table)
+        return self._execute_statement(engine, statement)
 
     # -- execution ------------------------------------------------------------------
 
@@ -559,8 +558,12 @@ class Database:
         ]
         return rows, labels
 
-    def _execute_gpu(self, statement: SelectStatement):
-        engine = self.gpu_engine(statement.table)
+    def _execute_statement(
+        self, engine: GpuEngine | CpuEngine, statement: SelectStatement
+    ):
+        """One statement body for either engine: aggregate statements
+        evaluate the WHERE once (the COUNT probe) and every COUNT item
+        reuses the probe's count; projections select the record ids."""
         predicate = statement.where
         if statement.group_by is not None:
             return self._execute_grouped(statement, engine)
@@ -589,16 +592,11 @@ class Database:
                     self._aggregate_or_null(engine, item, predicate, empty)
                 )
             return [tuple(row)], labels
-        return self._project(
-            engine.relation,
-            self._gpu_selected_ids(engine, predicate),
-            statement.items,
-        )
-
-    def _gpu_selected_ids(self, engine: GpuEngine, predicate):
         if predicate is None:
-            return np.arange(engine.relation.num_records)
-        return self._note_op(engine.select(predicate)).record_ids()
+            ids = np.arange(engine.relation.num_records)
+        else:
+            ids = self._note_op(engine.select(predicate)).record_ids()
+        return self._project(engine.relation, ids, statement.items)
 
     def _aggregate_or_null(self, engine, item, predicate, empty):
         """SQL semantics over empty selections: COUNT(*) is 0, every
@@ -623,30 +621,6 @@ class Database:
         return self._note_op(
             getattr(engine, op)(item.column, predicate)
         ).value
-
-    def _execute_cpu(self, statement: SelectStatement):
-        engine = self.cpu_engine(statement.table)
-        predicate = statement.where
-        if statement.group_by is not None:
-            return self._execute_grouped(statement, engine)
-        if statement.is_aggregate:
-            empty = (
-                predicate is not None
-                and self._note_op(engine.count(predicate)).value == 0
-            )
-            row = []
-            labels = []
-            for item in statement.items:
-                labels.append(item.label)
-                row.append(
-                    self._aggregate_or_null(engine, item, predicate, empty)
-                )
-            return [tuple(row)], labels
-        if predicate is None:
-            ids = np.arange(engine.relation.num_records)
-        else:
-            ids = self._note_op(engine.select(predicate)).record_ids()
-        return self._project(engine.relation, ids, statement.items)
 
     def _execute_grouped(self, statement: SelectStatement, engine):
         """GROUP BY: one masked aggregation sweep per distinct group

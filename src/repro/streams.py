@@ -28,11 +28,12 @@ import numpy as np
 
 from .core import aggregates
 from .core.column import Column
+from .core.cpu_engine import CpuEngine
 from .core.engine import split_copy_stats
 from .core.predicates import Predicate
 from .core.relation import Relation
 from .core.select import execute_selection
-from .errors import DataError, GpuError, QueryError
+from .errors import DataError, QueryError
 from .faults import current_executor
 from .gpu.cost import GpuCostModel, GpuTime
 from .gpu.pipeline import Device
@@ -348,38 +349,29 @@ class StreamEngine:
             if self.executor is None:
                 results[name] = self._evaluate_one(query, relation)
                 continue
+
             def attempt(q=query):
                 # Start every attempt from clean device state — a
                 # fault can leave a dangling occlusion query behind.
                 self.device.abort_query()
                 return self._evaluate_one(q, relation)
 
-            try:
-                results[name] = self.executor.run(
-                    attempt,
-                    op=f"stream:{name}",
-                    tracer=self.device.tracer,
-                )
-            except GpuError as error:
-                # Degrade this query alone: recompute host-side from
-                # the window copy; the other queries proceed on GPU.
-                self.executor.stats.record_fallback(f"stream:{name}")
-                if self.device.tracer is not None:
-                    self.device.tracer.record_event(
-                        "fallback",
-                        op=f"stream:{name}",
-                        error=type(error).__name__,
-                        detail=str(error),
-                    )
-                results[name] = self._evaluate_one_cpu(query, relation)
+            # Degrade this query alone: recompute host-side from the
+            # window copy; the other queries proceed on GPU.
+            results[name], error = self.executor.run_with_fallback(
+                attempt,
+                lambda q=query: self._evaluate_one_host(q, relation),
+                op=f"stream:{name}",
+                tracer=self.device.tracer,
+            )
+            if error is not None:
                 degraded[name] = f"{type(error).__name__}: {error}"
         return results, degraded
 
     def _evaluate_one(self, query: ContinuousQuery, relation: Relation):
         device = self.device
-        window = self.window_size
         valid = None
-        valid_count = window
+        valid_count = self.window_size
         if query.predicate is not None:
             outcome = execute_selection(
                 device, relation, self, query.predicate
@@ -387,77 +379,52 @@ class StreamEngine:
             valid = outcome.valid_stencil
             valid_count = outcome.count
 
-        if query.kind == "count":
-            return valid_count
-        if query.kind == "selectivity":
-            return valid_count / window
-        if valid_count == 0:
-            return None
-
-        meta = self.schema[query.column]
-        texture, scale, channel = self.column_texture(query.column)
-        if query.kind == "sum":
-            return aggregates.accumulate(
-                device, texture, meta.bits,
+        def aggregate():
+            meta = self.schema[query.column]
+            texture, scale, channel = self.column_texture(query.column)
+            if query.kind in ("sum", "average"):
+                total = aggregates.accumulate(
+                    device, texture, meta.bits,
+                    channel=channel, valid_stencil=valid,
+                )
+                return total if query.kind == "sum" else total / valid_count
+            (rank,) = aggregates.order_targets(
+                query.kind, valid_count, k=query.k
+            )
+            return aggregates.kth_largest(
+                device, texture, meta.bits, rank, scale,
                 channel=channel, valid_stencil=valid,
             )
-        if query.kind == "average":
-            total = aggregates.accumulate(
-                device, texture, meta.bits,
-                channel=channel, valid_stencil=valid,
-            )
-            return total / valid_count
-        # Order statistics: a window too small for k answers None.
-        if query.kind == "kth_largest" and query.k > valid_count:
-            return None
-        (rank,) = aggregates.order_targets(
-            query.kind, valid_count, k=query.k
-        )
-        return aggregates.kth_largest(
-            device, texture, meta.bits, rank, scale,
-            channel=channel, valid_stencil=valid,
-        )
 
-    def _evaluate_one_cpu(
+        return self._answer(query, valid_count, aggregate)
+
+    def _evaluate_one_host(
         self, query: ContinuousQuery, relation: Relation
     ):
-        """Host-side recomputation of one query from the window copy.
+        """A degraded query: the same answer from
+        :class:`~repro.core.cpu_engine.CpuEngine` over the window
+        copy."""
+        cpu = CpuEngine(relation)
+        cpu.tracer = None  # the ctor falls back to the process tracer
+        return self._answer(
+            query,
+            cpu.count(query.predicate).value,
+            lambda: cpu.aggregate(
+                query.kind, query.column, query.predicate, k=query.k
+            ).value,
+        )
 
-        Window columns are unsigned integers (stored == value), so the
-        GPU conventions reduce to plain numpy: every order statistic is
-        the k-th largest at the rank :func:`aggregates.order_targets`
-        picks, ``partition(values, n - k)[n - k]`` — identical to what
-        the rendering passes converge to.
-        """
-        window = self.window_size
-        if query.predicate is not None:
-            mask = query.predicate.mask(relation)
-            valid_count = int(mask.sum())
-        else:
-            mask = None
-            valid_count = window
-
+    def _answer(self, query: ContinuousQuery, valid_count: int, aggregate):
+        """The result policy both evaluation paths share: COUNT and
+        selectivity come from the valid count; an empty selection, or
+        a k larger than it, answers None; anything else is
+        ``aggregate()``."""
         if query.kind == "count":
             return valid_count
         if query.kind == "selectivity":
-            return valid_count / window
+            return valid_count / self.window_size
         if valid_count == 0:
             return None
-
-        values = np.asarray(
-            relation.column(query.column).values, dtype=np.int64
-        )
-        if mask is not None:
-            values = values[mask]
-
-        if query.kind == "sum":
-            return int(values.sum())
-        if query.kind == "average":
-            return int(values.sum()) / valid_count
         if query.kind == "kth_largest" and query.k > valid_count:
             return None
-        (rank,) = aggregates.order_targets(
-            query.kind, valid_count, k=query.k
-        )
-        index = values.size - rank
-        return int(np.partition(values, index)[index])
+        return aggregate()

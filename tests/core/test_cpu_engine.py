@@ -16,6 +16,7 @@ from repro.core.predicates import (
 from repro.cpu.cost import CpuCostModel
 from repro.errors import QueryError
 from repro.gpu.types import CompareFunc
+from repro.trace import Tracer
 
 
 class TestSelection:
@@ -117,6 +118,56 @@ class TestAggregates:
                 col("data_count") >= 100_000
             ).modeled_s
         )
+
+
+class TestAggregateEntryPoint:
+    def test_named_methods_are_aggregate(self, cpu_engine):
+        where = col("data_loss") > 300
+        for op, kwargs in (
+            ("sum", {}),
+            ("average", {}),
+            ("minimum", {}),
+            ("maximum", {}),
+            ("median", {}),
+            ("kth_largest", {"k": 4}),
+            ("kth_smallest", {"k": 4}),
+            ("quantiles", {"fractions": [0.1, 0.9]}),
+        ):
+            named = getattr(cpu_engine, op)(
+                "flow_rate", predicate=where, **kwargs
+            )
+            direct = cpu_engine.aggregate(op, "flow_rate", where, **kwargs)
+            assert (direct.value, direct.modeled_s) == (
+                named.value, named.modeled_s
+            )
+
+    def test_errors_match_the_gpu_engine(self, cpu_engine, gpu_engine):
+        def message(engine, *args, **kwargs):
+            with pytest.raises(QueryError) as info:
+                engine.aggregate(*args, **kwargs)
+            return str(info.value)
+
+        for args, kwargs in (
+            (("mode", "flow_rate"), {}),
+            (("sum",), {}),
+            (("top_k", "flow_rate"), {"k": 0}),
+            (("quantiles", "flow_rate"), {"fractions": []}),
+            (("quantiles", "flow_rate"), {"fractions": [2.0]}),
+            (("minimum", "flow_rate", col("data_loss") > 5000), {}),
+        ):
+            assert message(cpu_engine, *args, **kwargs) == message(
+                gpu_engine, *args, **kwargs
+            )
+
+    def test_failed_aggregate_closes_its_span(self, small_relation):
+        tracer = Tracer()
+        engine = CpuEngine(small_relation, tracer=tracer)
+        with pytest.raises(QueryError):
+            engine.median("flow_rate", col("data_loss") > 5000)
+        engine.sum("flow_rate")
+        assert [root.name for root in tracer.finish().roots] == [
+            "median", "sum"
+        ]
 
 
 class TestPredicateTerms:

@@ -187,3 +187,24 @@ class TestQueries:
         )
         with pytest.raises(QueryError):
             GpuEngine(relation).sum("x")
+
+    @pytest.mark.parametrize("engine_kind", ["gpu", "gpu-sharded", "cpu"])
+    def test_histogram_rejects_fixed_point(self, engine_kind):
+        # The histogram's edges span the value range of an integer
+        # column; over a fixed-point column's stored width they would
+        # put every value in the first bucket.
+        rng = np.random.default_rng(5)
+        relation = Relation("fx", [
+            Column.fixed_point(
+                "p", rng.integers(0, 4000, 5001) / 8.0, fraction_bits=3
+            ),
+        ])
+        engine = {
+            "gpu": lambda: GpuEngine(relation, shards=1),
+            "gpu-sharded": lambda: GpuEngine(relation, shards=2),
+            "cpu": lambda: CpuEngine(relation),
+        }[engine_kind]()
+        with pytest.raises(
+            QueryError, match="histogram requires an integer column"
+        ):
+            engine.histogram("p", 5)

@@ -161,6 +161,26 @@ class TestFallback:
             )
 
 
+    def test_degrade_records_without_retrying(self):
+        tracer = Tracer()
+        executor = ResilientExecutor()
+        with tracer.span("query"):
+            value = executor.degrade(
+                DeviceLostError("gone"), lambda: "cpu answer",
+                op="query", tracer=tracer,
+            )
+        assert value == "cpu answer"
+        assert executor.stats.fallbacks["query"] == 1
+        assert executor.stats.total_retries == 0
+        events = [
+            (e.name, e.attrs) for e in tracer.finish().all_events()
+        ]
+        assert events == [(
+            "fallback",
+            {"op": "query", "error": "DeviceLostError", "detail": "gone"},
+        )]
+
+
 class TestPolicyValidation:
     def test_rejects_bad_knobs(self):
         with pytest.raises(FaultConfigError, match="max_attempts"):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import CpuEngine, GpuEngine
 from repro.core.predicates import Comparison
-from repro.errors import QueryError, StaleSelectionError
+from repro.errors import QueryError, StaleSelectionError, VideoMemoryError
 from repro.gpu.context import GENERATION_STRIDE
 from repro.gpu.types import CompareFunc
 
@@ -187,3 +187,42 @@ class TestLifecycle:
             e for e in trace.all_events() if e.name == "context-switch"
         ]
         assert events and events[0].attrs["context"] == "traced"
+
+
+class TestFaultedOperationLeavesNoProgramBound:
+    """A fault inside one context's op must not leave its fragment
+    program bound: another context whose depth cache skips the copy
+    would run its comparison quad through that program."""
+
+    @pytest.mark.parametrize(
+        "op, where",
+        [("minimum", _pred("data_count", 1000)), ("sum", None)],
+    )
+    def test_cached_comparison_after_a_faulted_op(
+        self, engines, monkeypatch, op, where
+    ):
+        gpu, cpu = engines
+        predicate = _pred("data_loss", 100)
+        ctx_a = gpu.create_context("a")
+        ctx_b = gpu.create_context("b")
+        gpu.activate_context(ctx_b)
+        assert gpu.count(predicate).value == cpu.count(predicate).value
+
+        # Context A's op faults inside its first textured (program)
+        # pass: the selection's copy-to-depth, or the first TestBit.
+        device = gpu.device
+        render = device.render_textured_quad
+
+        def fault_once(*args, **kwargs):
+            monkeypatch.setattr(device, "render_textured_quad", render)
+            raise VideoMemoryError("injected")
+
+        gpu.activate_context(ctx_a)
+        monkeypatch.setattr(device, "render_textured_quad", fault_once)
+        with pytest.raises(VideoMemoryError):
+            getattr(gpu, op)("data_count", where)
+
+        gpu.activate_context(ctx_b)
+        hits = gpu.plan.stats.depth_hits
+        assert gpu.count(predicate).value == cpu.count(predicate).value
+        assert gpu.plan.stats.depth_hits == hits + 1  # the copy was skipped

@@ -1,17 +1,20 @@
 """The sharded-vs-single differential matrix.
 
-Every (operation, column) pair runs on 2- and 4-shard pools and must
+Every (operation, column) pair runs on 2- and 4-shard pools, on a
+4-shard pool whose shard 1 is killed (so that shard's part of every
+answer is recomputed host-side) and on the CPU engine, and must
 produce exactly the single-device engine's answer — values, counts,
-record ids and error strings alike.  52 cases x 2 shard counts; the
-oracle results are memoized per case so the single engine runs each
-once.
+record ids and error strings alike.  52 cases x 4 engines; the oracle
+results are memoized per case so the single engine runs each once.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import CpuEngine, GpuEngine
 from repro.core.predicates import Between, Comparison
 from repro.errors import QueryError
+from repro.faults import ResilientExecutor
 from repro.gpu.types import CompareFunc
 
 COLUMNS = ("data_count", "data_loss", "flow_rate", "retransmissions")
@@ -102,15 +105,33 @@ def oracle_results(engines):
     return lookup
 
 
-@pytest.mark.parametrize("shards", [2, 4])
+@pytest.fixture(scope="module")
+def matrix_engines(engines, small_relation):
+    """The shard pools plus the two host-path engines."""
+    killed = GpuEngine(
+        small_relation, shards=4, executor=ResilientExecutor()
+    )
+    killed.sharded.kill(1)
+    return {
+        **engines,
+        "killed": killed,
+        "cpu": CpuEngine(small_relation),
+    }
+
+
+@pytest.mark.parametrize("engine_key", [2, 4, "killed", "cpu"])
 @pytest.mark.parametrize("column", COLUMNS)
 @pytest.mark.parametrize("op", OPS)
 def test_matches_single_device(
-    engines, oracle_results, op, column, shards
+    matrix_engines, oracle_results, op, column, engine_key
 ):
-    assert _run(engines[shards], op, column) == oracle_results(
-        op, column
-    )
+    engine = matrix_engines[engine_key]
+    if engine_key == "killed":
+        fallbacks = engine.executor.stats.fallbacks["shard-1"]
+    assert _run(engine, op, column) == oracle_results(op, column)
+    if engine_key == "killed":
+        # The dead shard's partial really came from the host.
+        assert engine.executor.stats.fallbacks["shard-1"] > fallbacks
 
 
 class TestEdgeParity:

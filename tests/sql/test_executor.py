@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Column, Relation
+from repro.core import Column, CpuEngine, Relation, col
 from repro.errors import SqlPlanError
 from repro.sql import Database, Device
 
@@ -109,6 +109,17 @@ class TestQueries:
             "SELECT COUNT(*) FROM t WHERE a > b", device=Device.GPU
         )
         assert result.scalar == expected
+
+    def test_cpu_count_scans_the_where_once(self, database):
+        # The COUNT item reuses the probe's count on the CPU as it does
+        # on the GPU: one selection op, charged one predicate scan.
+        result = database.query(
+            "SELECT COUNT(*) FROM t WHERE b > 100", device=Device.CPU
+        )
+        scan = CpuEngine(database.relation("t")).select(col("b") > 100)
+        assert result.scalar == scan.count
+        assert len(result.op_results) == 1
+        assert result.time_ms == scan.time_ms
 
 
 class TestErrors:

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import col
-from repro.errors import DataError, DeviceLostError, QueryError
+from repro.errors import (
+    DataError,
+    DepthPrecisionError,
+    DeviceLostError,
+    QueryError,
+)
 from repro.faults import (
     FaultKind,
     FaultPlan,
@@ -14,7 +19,7 @@ from repro.faults import (
     ResilientExecutor,
     use_faults,
 )
-from repro.streams import ContinuousQuery, StreamEngine
+from repro.streams import KINDS, ContinuousQuery, StreamEngine
 
 
 def _engine(capacity=100):
@@ -406,3 +411,69 @@ class TestResilience:
         window = np.concatenate([first, second])[-40:]
         assert clean_tick.degraded == {}
         assert clean_tick.results["hot"] == int((window >= 50).sum())
+
+
+class TestHostPathDifferential:
+    """A query forced onto the host path answers exactly what the clean
+    GPU path answers, tick by tick, across ring wrap-arounds."""
+
+    CAPACITY = 37
+
+    PREDICATES = {
+        "all": None,
+        "hot": col("v") >= 150,
+        "none": col("v") > 255,
+    }
+
+    def _queries(self):
+        queries = []
+        for kind in KINDS:
+            for label, predicate in self.PREDICATES.items():
+                queries.append(ContinuousQuery(
+                    f"{kind}-{label}",
+                    kind,
+                    column=None if kind in ("count", "selectivity")
+                    else "v",
+                    predicate=predicate,
+                    k=3 if kind == "kth_largest" else None,
+                ))
+        queries.append(ContinuousQuery(
+            "kth-over-window", "kth_largest", column="v",
+            k=self.CAPACITY + 5,
+        ))
+        return queries
+
+    def test_degraded_answers_match_clean(self):
+        clean = StreamEngine(
+            [("v", 8), ("g", 3)], capacity=self.CAPACITY,
+            executor=ResilientExecutor(),
+        )
+        forced = StreamEngine(
+            [("v", 8), ("g", 3)], capacity=self.CAPACITY,
+            executor=ResilientExecutor(),
+        )
+
+        def gpu_fails(*_args, **_kwargs):
+            raise DepthPrecisionError("forced onto the host path")
+
+        forced._evaluate_one = gpu_fails
+        queries = self._queries()
+        for query in queries:
+            clean.register(query)
+            forced.register(query)
+        rng = np.random.default_rng(41)
+        # 15-record ticks into a 37-slot ring: the writes straddle the
+        # ring's end on the third and fifth ticks.
+        for _tick in range(6):
+            batch = _batch(rng, 15)
+            expected = clean.append(batch)
+            got = forced.append(batch)
+            assert expected.degraded == {}
+            assert sorted(got.degraded) == sorted(q.name for q in queries)
+            assert {
+                name: (type(value), value)
+                for name, value in got.results.items()
+            } == {
+                name: (type(value), value)
+                for name, value in expected.results.items()
+            }
