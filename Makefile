@@ -1,7 +1,8 @@
 # Convenience targets; everything works without make too.
 
 .PHONY: install test test-nojit bench figures figures-paper smoke lint \
-	trace-demo chaos chaos-concurrent bench-gate sanitize e2e-smoke
+	trace-demo chaos chaos-concurrent bench-gate sanitize e2e-smoke \
+	e2e-profile
 
 install:
 	python setup.py develop
@@ -23,6 +24,14 @@ smoke:
 # service_small, stream_window) as tests — tier-1 collects only tests/.
 e2e-smoke:
 	PYTHONPATH=src python -m pytest -q benchmarks/e2e
+
+# The per-layer profile of the paper-scale workload (2^20 records):
+# prints gpu.raster_ms, gpu.depth_quantize_ms, gpu.program_ms,
+# gpu.tests_ms and the rest, and writes a Chrome trace under
+# /tmp/e2e-profile/traces.  Run it on two checkouts for a before/after.
+e2e-profile:
+	python3 benchmarks/e2e/run.py --workload paper_olap --trace 1 \
+		--seconds 10 --out /tmp/e2e-profile
 
 figures:
 	python -m repro.bench --scale quick
@@ -75,7 +84,7 @@ chaos-concurrent:
 bench-gate:
 	PYTHONPATH=src python -m repro.bench --snapshot /tmp/BENCH_current.json
 	PYTHONPATH=src python -m repro.bench.compare /tmp/BENCH_current.json \
-		--against BENCH_14.json
+		--against BENCH_15.json
 
 # Trace the figure-9 workload (selection + masked median) per pass;
 # writes traces/fig9.txt (pass tree) and traces/fig9.json (load in

@@ -20,6 +20,7 @@ Faithfulness notes:
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -48,8 +49,10 @@ class FragmentBatch:
     #: Number of fragments in the batch.
     count: int
     #: Interpolated attributes, keyed by :class:`FragmentAttrib`;
-    #: each value is ``(count, 4)`` float32.
-    attributes: dict
+    #: each value is ``(count, 4)`` float32.  A read-only mapping: the
+    #: rasterizer's values may be shared or broadcast (see
+    #: :class:`repro.gpu.raster.QuadAttributes`).
+    attributes: Mapping
     #: Hashable identity of the quad geometry that produced this batch
     #: (rect + screen + texture dims), or ``None`` for hand-built
     #: batches.  The JIT memoizes geometry-determined texture fetches

@@ -578,8 +578,9 @@ class BoundKernel:
         out_color = env.out_color
         if out_color is None:
             col0 = batch.attribute(FragmentAttrib.COL0)
-            # When the pipeline will not look at the color (no alpha
-            # test, no color write) the copy is unobservable — skip it.
+            # COL0 is a read-only broadcast of the quad color.  When
+            # the pipeline will not look at the color (no alpha test,
+            # no color write) the copy is unobservable — skip it.
             out_color = col0.copy() if self._need_color else col0
         return ProgramResult(
             color=out_color,

@@ -208,6 +208,9 @@ class Device:
         texture.data[:] = fb.color.data[:, :channels].reshape(
             fb.height, fb.width, channels
         )
+        # New texels: a kernel or fetch memo keyed on the old
+        # generation must not replay them.
+        texture.generation += 1
         stats = PassStats(
             index=self._pass_counter,
             fragments=fb.num_pixels,
@@ -371,14 +374,19 @@ class Device:
     ) -> None:
         self.state.validate()
         fb = self.framebuffer
-        indices, batch = rasterize_rect(
+        batch = rasterize_rect(
             rect, fb.width, fb.height, depth, tuple(color)
         )
         stats.fragments += batch.count
+        # Every stage reads and writes the buffers through the rect's
+        # (h, w) views; fragment order is their row-major ravel order.
+        shape = (rect.height, rect.width)
+        region = fb.region(rect)
 
         state = self.state
 
         # Stage 1: fragment program (or fixed-function passthrough).
+        frag_depth = None
         if self._program is not None:
             if self.jit:
                 # Whether any downstream stage observes the fragment
@@ -400,67 +408,65 @@ class Device:
                 )
                 result = interpreter.run(self._program, batch)
             frag_color = result.color
-            if result.depth is not None:
-                frag_depth = result.depth
-            else:
-                frag_depth = batch.attributes[FragmentAttrib.WPOS][:, 2]
-            alive = ~result.killed
+            frag_depth = result.depth
+            alive = ~result.killed.reshape(shape)
             stats.program = self._program.name
             stats.program_length = self._program.num_instructions
             stats.instructions_executed += result.instructions_executed
             stats.writes_depth_from_program = self._program.writes_depth
             stats.killed += int(np.count_nonzero(result.killed))
         else:
-            frag_color = batch.attributes[FragmentAttrib.COL0]
-            frag_depth = batch.attributes[FragmentAttrib.WPOS][:, 2]
-            alive = np.ones(batch.count, dtype=bool)
+            frag_color = batch.attribute(FragmentAttrib.COL0)
+            alive = np.ones(shape, dtype=bool)
+        frag_color = frag_color.reshape(shape + (4,))
 
         # Stage 2: alpha test.
         if state.alpha.enabled:
             alpha_pass = state.alpha.func.apply(
-                frag_color[:, 3], np.float32(state.alpha.reference)
+                frag_color[..., 3], np.float32(state.alpha.reference)
             )
             stats.alpha_failed += int(np.count_nonzero(alive & ~alpha_pass))
             alive = alive & alpha_pass
 
         # Stage 3: stencil test.  GL convention: the test passes when
-        # ``(ref & mask) func (stencil & mask)``.
-        stencil_values = fb.stencil.read(indices)
+        # ``(ref & mask) func (stencil & mask)``; the scalar reference
+        # is on the left, hence the swapped comparison.
         if state.stencil.enabled:
-            masked_ref = np.full(
-                batch.count,
-                state.stencil.reference & state.stencil.mask,
-                dtype=np.int64,
+            mask = np.uint8(state.stencil.mask)
+            stencil_pass = state.stencil.func.swap().apply(
+                region.stencil & mask,
+                np.uint8(state.stencil.reference) & mask,
             )
-            masked_stored = (
-                stencil_values.astype(np.int64) & state.stencil.mask
-            )
-            stencil_pass = state.stencil.func.apply(masked_ref, masked_stored)
             sfail = alive & ~stencil_pass
             stats.stencil_failed += int(np.count_nonzero(sfail))
             self._apply_stencil_op(
-                state.stencil.sfail, indices, sfail, stats
+                state.stencil.sfail, region.stencil, sfail, stats
             )
             alive = alive & stencil_pass
 
         # Stage 4: depth-bounds test against the *stored* depth
         # (EXT_depth_bounds_test).  Failures are discarded outright.
         if state.depth_bounds.enabled:
-            stored = fb.depth.read_codes(indices)
             low = depth_to_code(state.depth_bounds.zmin)
             high = depth_to_code(state.depth_bounds.zmax)
-            bounds_pass = (stored >= low) & (stored <= high)
+            bounds_pass = (region.depth >= low) & (region.depth <= high)
             stats.depth_bounds_failed += int(
                 np.count_nonzero(alive & ~bounds_pass)
             )
             alive = alive & bounds_pass
 
-        # Stage 5: depth test.
-        frag_codes = depth_to_code(frag_depth)
+        # Stage 5: depth test.  Without a program-written depth every
+        # fragment carries the quad depth (the float32 WPOS.z), so it
+        # is quantized once.
         early_z_survivors: int | None = None
         if state.depth.enabled:
-            stored = fb.depth.read_codes(indices)
-            depth_pass = state.depth.func.apply(frag_codes, stored)
+            if frag_depth is None:
+                frag_codes = depth_to_code(np.float32(depth))
+            else:
+                frag_codes = depth_to_code(frag_depth).reshape(shape)
+            depth_pass = state.depth.func.swap().apply(
+                region.depth, frag_codes
+            )
             # Early-z hardware would evaluate this same comparison before
             # shading; capture it pre-write for the cost model.
             early_z_survivors = int(np.count_nonzero(depth_pass))
@@ -468,17 +474,19 @@ class Device:
             stats.depth_failed += int(np.count_nonzero(zfail))
             if state.stencil.enabled:
                 self._apply_stencil_op(
-                    state.stencil.zfail, indices, zfail, stats
+                    state.stencil.zfail, region.stencil, zfail, stats
                 )
             alive = alive & depth_pass
             if state.depth.write:
-                writers = np.flatnonzero(alive)
-                fb.depth.write_codes(indices[writers], frag_codes[writers])
-                stats.depth_writes += writers.size
-                if writers.size:
+                writes = int(np.count_nonzero(alive))
+                if writes:
+                    np.copyto(region.depth, frag_codes, where=alive)
                     self.depth_generation += 1
+                stats.depth_writes += writes
         if state.stencil.enabled:
-            self._apply_stencil_op(state.stencil.zpass, indices, alive, stats)
+            self._apply_stencil_op(
+                state.stencil.zpass, region.stencil, alive, stats
+            )
 
         # Stage 6: occlusion counting and color write.
         passed = int(np.count_nonzero(alive))
@@ -486,28 +494,30 @@ class Device:
         if self._active_query is not None and self._active_query.active:
             self._active_query._add(passed)
         if any(state.color_mask):
-            writers = np.flatnonzero(alive)
-            fb.color.write(
-                indices[writers], frag_color[writers], state.color_mask
-            )
-            stats.color_writes += writers.size * sum(state.color_mask)
+            for channel, enabled in enumerate(state.color_mask):
+                if enabled:
+                    np.copyto(
+                        region.color[..., channel],
+                        frag_color[..., channel],
+                        where=alive,
+                    )
+            stats.color_writes += passed * sum(state.color_mask)
 
         self._accumulate_early_z(stats, early_z_survivors, batch.count)
 
     def _apply_stencil_op(
         self,
         op: StencilOp,
-        indices: np.ndarray,
+        stencil: np.ndarray,
         mask: np.ndarray,
         stats: PassStats,
     ) -> None:
+        """Run ``op`` on the ``stencil`` view where ``mask`` is set."""
         if op is StencilOp.KEEP:
             return
-        targets = np.flatnonzero(mask)
-        if targets.size == 0:
+        current = stencil[mask]
+        if current.size == 0:
             return
-        fb = self.framebuffer
-        current = fb.stencil.read(indices[targets])
         updated = op.apply(current, self.state.stencil.reference)
         write_mask = self.state.stencil.write_mask
         if write_mask != 0xFF:
@@ -516,9 +526,9 @@ class Device:
             updated = (current & keep_bits) | (
                 updated & np.uint8(write_mask)
             )
-        fb.stencil.write(indices[targets], updated)
+        stencil[mask] = updated
         self.stencil_generation += 1
-        stats.stencil_writes += targets.size
+        stats.stencil_writes += current.size
 
     def _accumulate_early_z(
         self,

@@ -2,9 +2,9 @@
 
 The paper's computation model renders a "single quadrilateral that covers
 the window" so that texels line up one-to-one with pixels (section 3.3).
-This module turns such a quad into a :class:`FragmentBatch`: linear pixel
-indices plus interpolated attributes (window position, texture
-coordinates at texel centers, primary color).
+This module turns such a quad into a :class:`FragmentBatch` of
+interpolated attributes (window position, texture coordinates at texel
+centers, primary color), materialized only as far as a stage reads them.
 
 Hardware rasterizes rectangles, not arbitrary index sets, so a relation
 whose record count does not fill its texture exactly is covered by *two*
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections.abc import Iterator, Mapping
 
 import numpy as np
 
@@ -75,39 +76,80 @@ def rects_for_count(count: int, width: int, height: int) -> list[Rect]:
     return rects
 
 
+def _pixel_centers(start: int, stop: int) -> np.ndarray:
+    """Window coordinates of the pixel centers ``start + 0.5 ..``."""
+    return np.arange(start, stop).astype(np.float32) + np.float32(0.5)
+
+
 @functools.lru_cache(maxsize=8)
-def _geometry(
-    rect: Rect,
-    screen_width: int,
-    screen_height: int,
-    tex_height: int,
-    tex_width: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Geometry-determined arrays for one quad: linear pixel indices,
-    texel-center coordinates and normalized texcoords.  These repeat
-    identically for every pass over the same rect, so they are cached
-    (read-only — consumers must not mutate) and shared; only the
-    per-pass WPOS depth and primary color are built fresh."""
-    xs = np.arange(rect.x0, rect.x1, dtype=np.int64)
-    ys = np.arange(rect.y0, rect.y1, dtype=np.int64)
-    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-    pixel_x = grid_x.ravel()
-    pixel_y = grid_y.ravel()
-    indices = pixel_y * screen_width + pixel_x
-    count = indices.size
+def _texcoords(rect: Rect, tex_height: int, tex_width: int) -> np.ndarray:
+    """Texel-center texture coordinates of every fragment of ``rect``,
+    in row-major order.  They repeat identically for every pass over
+    the same rect, so they are cached (read-only) and shared."""
+    texcoord = np.empty((rect.height, rect.width, 4), dtype=np.float32)
+    texcoord[..., 0] = _pixel_centers(rect.x0, rect.x1) / np.float32(
+        tex_width
+    )
+    texcoord[..., 1] = (
+        _pixel_centers(rect.y0, rect.y1) / np.float32(tex_height)
+    )[:, None]
+    texcoord[..., 2] = 0.0
+    texcoord[..., 3] = 1.0
+    texcoord = texcoord.reshape(-1, 4)
+    texcoord.setflags(write=False)
+    return texcoord
 
-    centers_x = pixel_x.astype(np.float32) + np.float32(0.5)
-    centers_y = pixel_y.astype(np.float32) + np.float32(0.5)
 
-    texcoord = np.empty((count, 4), dtype=np.float32)
-    texcoord[:, 0] = centers_x / np.float32(tex_width)
-    texcoord[:, 1] = centers_y / np.float32(tex_height)
-    texcoord[:, 2] = 0.0
-    texcoord[:, 3] = 1.0
+def _window_positions(rect: Rect, depth: float) -> np.ndarray:
+    """``f[WPOS]``: pixel centers, the quad depth and ``w = 1``."""
+    wpos = np.empty((rect.height, rect.width, 4), dtype=np.float32)
+    wpos[..., 0] = _pixel_centers(rect.x0, rect.x1)
+    wpos[..., 1] = _pixel_centers(rect.y0, rect.y1)[:, None]
+    wpos[..., 2] = np.float32(depth)
+    wpos[..., 3] = 1.0
+    wpos = wpos.reshape(-1, 4)
+    wpos.setflags(write=False)
+    return wpos
 
-    for array in (indices, centers_x, centers_y, texcoord):
-        array.setflags(write=False)
-    return indices, centers_x, centers_y, texcoord
+
+class QuadAttributes(Mapping):
+    """The interpolated attributes of one quad, built only when read.
+
+    Texture coordinates are the cached per-rect array and ``COL0`` is
+    the quad color broadcast to every fragment, so neither costs a
+    per-pass allocation; ``WPOS`` is built on first read (few programs
+    use it) and kept for the rest of the pass.  Every value is
+    read-only.
+    """
+
+    def __init__(self, rect: Rect, depth: float, color, texcoord):
+        self._rect = rect
+        self._depth = depth
+        col0 = np.broadcast_to(
+            np.asarray(color, dtype=np.float32), (rect.num_pixels, 4)
+        )
+        self._values = {
+            FragmentAttrib.TEX0: texcoord,
+            FragmentAttrib.TEX1: texcoord,
+            FragmentAttrib.TEX2: texcoord,
+            FragmentAttrib.TEX3: texcoord,
+            FragmentAttrib.COL0: col0,
+        }
+
+    def __getitem__(self, attrib: FragmentAttrib) -> np.ndarray:
+        value = self._values.get(attrib)
+        if value is None:
+            if attrib is not FragmentAttrib.WPOS:
+                raise KeyError(attrib)
+            value = _window_positions(self._rect, self._depth)
+            self._values[attrib] = value
+        return value
+
+    def __iter__(self) -> Iterator[FragmentAttrib]:
+        return iter(FragmentAttrib)
+
+    def __len__(self) -> int:
+        return len(FragmentAttrib)
 
 
 def rasterize_rect(
@@ -117,11 +159,12 @@ def rasterize_rect(
     depth: float,
     color: tuple[float, float, float, float],
     tex_size: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, FragmentBatch]:
+) -> FragmentBatch:
     """Generate fragments for a screen-aligned quad over ``rect``.
 
-    Returns ``(pixel_indices, batch)`` where ``pixel_indices`` are linear
-    row-major framebuffer indices.
+    Fragments are in row-major order over the rect, which is the ravel
+    order of the ``[y0:y1, x0:x1]`` view of a ``(height, width)``
+    buffer (see :meth:`repro.gpu.framebuffer.FrameBuffer.region`).
 
     Texture coordinates are generated at *texel centers* assuming the
     textured quad maps the screen rect one-to-one onto the same rect of a
@@ -139,27 +182,11 @@ def rasterize_rect(
         tex_height, tex_width = screen_height, screen_width
     else:
         tex_height, tex_width = tex_size
-    token = (rect, screen_width, screen_height, tex_height, tex_width)
-    indices, centers_x, centers_y, texcoord = _geometry(*token)
-    count = indices.size
-
-    wpos = np.empty((count, 4), dtype=np.float32)
-    wpos[:, 0] = centers_x
-    wpos[:, 1] = centers_y
-    wpos[:, 2] = np.float32(depth)
-    wpos[:, 3] = 1.0
-
-    col0 = np.empty((count, 4), dtype=np.float32)
-    col0[:] = np.asarray(color, dtype=np.float32)
-
-    attributes = {
-        FragmentAttrib.WPOS: wpos,
-        FragmentAttrib.TEX0: texcoord,
-        FragmentAttrib.TEX1: texcoord,
-        FragmentAttrib.TEX2: texcoord,
-        FragmentAttrib.TEX3: texcoord,
-        FragmentAttrib.COL0: col0,
-    }
-    return indices, FragmentBatch(
-        count=count, attributes=attributes, geometry_token=token
+    texcoord = _texcoords(rect, tex_height, tex_width)
+    return FragmentBatch(
+        count=rect.num_pixels,
+        attributes=QuadAttributes(rect, depth, color, texcoord),
+        geometry_token=(
+            rect, screen_width, screen_height, tex_height, tex_width
+        ),
     )

@@ -11,6 +11,8 @@ from repro.gpu.framebuffer import (
     code_to_depth,
     depth_to_code,
 )
+from repro.gpu.pipeline import Device
+from repro.gpu.raster import Rect
 from repro.gpu.types import DEPTH_MAX_CODE
 
 
@@ -87,19 +89,40 @@ class TestFrameBuffer:
             fb.stencil.clear(-1)
 
     def test_color_write_honors_mask(self):
-        fb = FrameBuffer(1, 2)
-        rgba = np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
-        fb.color.write(
-            np.array([1]), rgba, (True, False, True, False)
-        )
-        assert np.array_equal(fb.color.data[1], [1.0, 0.0, 3.0, 0.0])
+        # The per-channel color mask is applied by the pass's masked
+        # writes through the region view.
+        device = Device(1, 2)
+        device.state.color_mask = (True, False, True, False)
+        device.render_quad(0.5, color=(1, 2, 3, 4), rect=Rect(1, 0, 2, 1))
+        color = device.framebuffer.color.data
+        assert np.array_equal(color[1], [1.0, 0.0, 3.0, 0.0])
+        assert np.array_equal(color[0], [0.0, 0.0, 0.0, 0.0])
 
     def test_depth_write_and_read_codes(self):
-        fb = FrameBuffer(1, 4)
-        indices = np.array([0, 2])
-        fb.depth.write_codes(indices, np.array([10, 20], dtype=np.uint32))
-        assert np.array_equal(fb.depth.read_codes(indices), [10, 20])
-        assert fb.depth.read_codes(np.array([1]))[0] == 0
+        fb = FrameBuffer(2, 4)
+        region = fb.region(Rect(1, 1, 3, 2))
+        assert region.depth.shape == (1, 2)
+        region.depth[:] = [[10, 20]]
+        assert np.array_equal(fb.depth.codes[[5, 6]], [10, 20])
+        assert np.count_nonzero(fb.depth.codes) == 2
+        fb.depth.codes[6] = 7
+        assert region.depth[0, 1] == 7
+
+    def test_region_views_every_buffer_in_place(self):
+        fb = FrameBuffer(3, 4)
+        region = fb.region(Rect(0, 1, 4, 3))
+        assert region.color.shape == (2, 4, 4)
+        assert region.stencil.shape == (2, 4)
+        for view, buffer in (
+            (region.color, fb.color.data),
+            (region.depth, fb.depth.codes),
+            (region.stencil, fb.stencil.values),
+        ):
+            assert np.shares_memory(view, buffer)
+        region.stencil[region.stencil == 0] = 9
+        assert np.array_equal(
+            fb.stencil.values, [0] * 4 + [9] * 8
+        )
 
     def test_num_pixels(self):
         assert FrameBuffer(3, 7).num_pixels == 21

@@ -1,5 +1,7 @@
 """The per-fragment pipeline: test ordering, stencil ops, occlusion."""
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,11 @@ from repro.gpu import (
     Texture,
     copy_to_depth_program,
 )
+from repro.ext.bitonic_sort import sort_values
+from repro.gpu import pipeline
+from repro.gpu.assembler import assemble
+from repro.gpu.isa import FragmentAttrib
+from repro.gpu.jit import BoundKernel
 from repro.gpu.raster import Rect
 
 
@@ -311,6 +318,138 @@ class TestCopyColorToTexture:
     def test_size_mismatch_rejected(self, device):
         with pytest.raises(GpuError):
             device.copy_color_to_texture(Texture(np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("jit", [False, True])
+    def test_copied_texels_are_sampled_by_the_next_pass(self, jit):
+        # Each pass reads the texels the previous copy wrote; a kernel
+        # or fetch memo keyed on the texture's old generation would
+        # replay the first pass's texels instead.
+        device = Device(2, 4, jit=jit)
+        texture = Texture(np.zeros((2, 4, 4), dtype=np.float32))
+        device.bind_texture(0, texture)
+        device.set_program(
+            assemble(
+                "!!FP1.0\nTEX R0, f[TEX0], TEX0, 2D;\n"
+                "ADD o[COLR], R0, {1.0};\nEND\n"
+            )
+        )
+        seen = []
+        for _ in range(3):
+            device.render_quad(0.0)
+            device.copy_color_to_texture(texture)
+            seen.append(float(texture.data[0, 0, 0]))
+        assert seen == [1.0, 2.0, 3.0]
+
+    def test_bitonic_sort_on_the_jit(self):
+        values = np.random.default_rng(5).integers(0, 1000, 50)
+        device = Device(8, 8, jit=True)
+        result, _ = sort_values(values, device=device)
+        assert np.array_equal(result, np.sort(values))
+
+
+class _RecordingAttributes(Mapping):
+    """Wraps a batch's attributes and records every value read."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.reads = []
+
+    def __getitem__(self, attrib):
+        value = self.inner[attrib]
+        self.reads.append((attrib, value))
+        return value
+
+    def __iter__(self):
+        return iter(self.inner)
+
+    def __len__(self):
+        return len(self.inner)
+
+
+@pytest.fixture()
+def recorded_batches(monkeypatch):
+    """The attributes of every batch rasterized by a pass."""
+    recorded = []
+    rasterize = pipeline.rasterize_rect
+
+    def recording_rasterize(*args, **kwargs):
+        batch = rasterize(*args, **kwargs)
+        batch.attributes = _RecordingAttributes(batch.attributes)
+        recorded.append(batch.attributes)
+        return batch
+
+    monkeypatch.setattr(pipeline, "rasterize_rect", recording_rasterize)
+    return recorded
+
+
+def _is_broadcast(array):
+    return not array.flags.owndata and array.strides[0] == 0
+
+
+class TestLazyAttributes:
+    def test_fixed_function_pass_builds_no_wpos_or_col0(
+        self, device, recorded_batches
+    ):
+        device.state.depth.enabled = True
+        device.state.stencil.enabled = True
+        device.state.stencil.zpass = StencilOp.INCR
+        device.render_quad(0.5, count=6)
+        assert len(recorded_batches) == 2
+        for attributes in recorded_batches:
+            read = dict(attributes.reads)
+            assert FragmentAttrib.WPOS not in read
+            assert _is_broadcast(read[FragmentAttrib.COL0])
+
+    @pytest.mark.parametrize("jit", [False, True])
+    def test_tex_only_program_reads_no_wpos(self, jit, recorded_batches):
+        device = Device(4, 4, jit=jit)
+        device.state.color_mask = (False, False, False, False)
+        device.state.depth.enabled = True
+        device.state.depth.func = CompareFunc.ALWAYS
+        texture = Texture(np.arange(16, dtype=np.float32).reshape(4, 4))
+        device.set_program(copy_to_depth_program())
+        device.set_program_parameter(0, 1.0 / 16)
+        device.render_textured_quad(texture)
+        (attributes,) = recorded_batches
+        assert FragmentAttrib.WPOS not in dict(attributes.reads)
+
+    def test_jit_passes_col0_through_as_a_broadcast(
+        self, monkeypatch
+    ):
+        # With color writes off the JIT hands COL0 on uncopied.
+        colors = []
+        run = BoundKernel.run
+
+        def recording_run(kernel, batch):
+            result = run(kernel, batch)
+            colors.append(result.color)
+            return result
+
+        monkeypatch.setattr(BoundKernel, "run", recording_run)
+        device = Device(4, 4, jit=True)
+        device.state.color_mask = (False, False, False, False)
+        texture = Texture(np.arange(16, dtype=np.float32).reshape(4, 4))
+        device.set_program(copy_to_depth_program())
+        device.render_textured_quad(texture)
+        (color,) = colors
+        assert _is_broadcast(color)
+
+    @pytest.mark.parametrize("jit", [False, True])
+    def test_wpos_program_gets_pixel_centers_and_quad_depth(self, jit):
+        device = Device(2, 3, jit=jit)
+        device.set_program(
+            assemble("!!FP1.0\nMOV o[COLR], f[WPOS];\nEND\n")
+        )
+        device.render_quad(0.25, rect=Rect(1, 0, 3, 2))
+        color = device.read_color().reshape(2, 3, 4)
+        assert np.array_equal(
+            color[:, 1:],
+            [
+                [[1.5, 0.5, 0.25, 1.0], [2.5, 0.5, 0.25, 1.0]],
+                [[1.5, 1.5, 0.25, 1.0], [2.5, 1.5, 0.25, 1.0]],
+            ],
+        )
+        assert not color[:, 0].any()
 
 
 class TestStats:

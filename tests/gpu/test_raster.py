@@ -65,21 +65,29 @@ class TestRectsForCount:
 
 class TestRasterize:
     def test_linear_indices_row_major(self):
-        indices, batch = rasterize_rect(
-            Rect(0, 0, 3, 2), 3, 2, 0.5, (1, 1, 1, 1)
-        )
-        assert np.array_equal(indices, [0, 1, 2, 3, 4, 5])
+        # Fragments are in the row-major ravel order of the rect's
+        # buffer view: fragment i covers linear pixel y * W + x.
+        screen = np.arange(4 * 5).reshape(4, 5)
+        rect = Rect(1, 1, 4, 3)
+        batch = rasterize_rect(rect, 5, 4, 0.5, (1, 1, 1, 1))
         assert batch.count == 6
+        wpos = batch.attributes[FragmentAttrib.WPOS]
+        pixels = (
+            wpos[:, 1].astype(int) * 5 + wpos[:, 0].astype(int)
+        )
+        view = screen[rect.y0:rect.y1, rect.x0:rect.x1]
+        assert np.array_equal(pixels, view.ravel())
+        assert np.array_equal(pixels, [6, 7, 8, 11, 12, 13])
 
     def test_wpos_at_pixel_centers(self):
-        indices, batch = rasterize_rect(
+        batch = rasterize_rect(
             Rect(1, 1, 2, 2), 4, 4, 0.25, (1, 1, 1, 1)
         )
         wpos = batch.attributes[FragmentAttrib.WPOS]
         assert np.allclose(wpos[0], [1.5, 1.5, 0.25, 1.0])
 
     def test_texcoords_align_texels_with_pixels(self):
-        indices, batch = rasterize_rect(
+        batch = rasterize_rect(
             Rect(0, 0, 2, 2), 2, 2, 0.0, (1, 1, 1, 1)
         )
         texcoord = batch.attributes[FragmentAttrib.TEX0]
@@ -90,7 +98,7 @@ class TestRasterize:
         )
 
     def test_all_texcoord_units_identical(self):
-        _indices, batch = rasterize_rect(
+        batch = rasterize_rect(
             Rect(0, 0, 2, 1), 2, 1, 0.0, (1, 1, 1, 1)
         )
         t0 = batch.attributes[FragmentAttrib.TEX0]
@@ -102,7 +110,7 @@ class TestRasterize:
             assert np.array_equal(batch.attributes[attrib], t0)
 
     def test_color_constant(self):
-        _indices, batch = rasterize_rect(
+        batch = rasterize_rect(
             Rect(0, 0, 2, 1), 2, 1, 0.0, (0.1, 0.2, 0.3, 0.4)
         )
         col0 = batch.attributes[FragmentAttrib.COL0]
@@ -113,8 +121,31 @@ class TestRasterize:
             rasterize_rect(Rect(0, 0, 5, 1), 4, 4, 0.0, (1, 1, 1, 1))
 
     def test_custom_texture_size(self):
-        _indices, batch = rasterize_rect(
+        batch = rasterize_rect(
             Rect(0, 0, 1, 1), 4, 4, 0.0, (1, 1, 1, 1), tex_size=(8, 8)
         )
         texcoord = batch.attributes[FragmentAttrib.TEX0]
         assert np.allclose(texcoord[0, :2], [0.5 / 8, 0.5 / 8])
+
+    def test_attribute_arrays_are_read_only(self):
+        batch = rasterize_rect(
+            Rect(0, 0, 2, 2), 2, 2, 0.5, (0.1, 0.2, 0.3, 0.4)
+        )
+        for attrib in FragmentAttrib:
+            with pytest.raises(ValueError):
+                batch.attributes[attrib][0, 0] = 9.0
+
+    def test_col0_is_a_broadcast_of_the_quad_color(self):
+        batch = rasterize_rect(
+            Rect(0, 0, 4, 4), 4, 4, 0.5, (0.1, 0.2, 0.3, 0.4)
+        )
+        col0 = batch.attributes[FragmentAttrib.COL0]
+        assert col0.shape == (16, 4)
+        assert col0.strides[0] == 0
+
+    def test_wpos_carries_the_float32_quad_depth(self):
+        batch = rasterize_rect(Rect(0, 0, 2, 1), 2, 1, 0.1, (1, 1, 1, 1))
+        wpos = batch.attributes[FragmentAttrib.WPOS]
+        assert np.all(wpos[:, 2] == np.float32(0.1))
+        assert batch.attributes[FragmentAttrib.WPOS] is wpos
+        assert set(batch.attributes) == set(FragmentAttrib)
