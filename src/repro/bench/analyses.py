@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ..core import aggregates
+from ..core import GpuEngine, aggregates
 from ..core.predicates import And, Between, Comparison, SemiLinear
 from ..data.selectivity import (
     range_for_selectivity,
@@ -146,7 +146,9 @@ def ablation_range_path(scale: Scale) -> ExperimentResult:
         values = relation.column("data_count").values
         low, high = range_for_selectivity(values, 0.6)
         fast = gpu.select(Between("data_count", low, high))
-        slow = gpu.select(
+        # Each variant gets its own engine: on the first one's, the CNF
+        # would reuse its depth copy and skip the very pass compared.
+        slow = GpuEngine(relation, GPU_COST).select(
             And(
                 Comparison("data_count", CompareFunc.GEQUAL, low),
                 Comparison("data_count", CompareFunc.LEQUAL, high),
@@ -421,7 +423,8 @@ def ablation_copyshare(scale: Scale) -> ExperimentResult:
         Comparison("flow_rate", CompareFunc.GEQUAL, 1),
     )
     shared = gpu.select(same_attribute)
-    unshared = gpu.select(two_attributes)
+    # A fresh engine, or data_count's copy from ``shared`` is reused.
+    unshared = GpuEngine(relation, GPU_COST).select(two_attributes)
     shared_ms = shared.total_time(GPU_COST).total_ms
     unshared_ms = unshared.total_time(GPU_COST).total_ms
     return ExperimentResult(

@@ -33,6 +33,7 @@ import numpy as np
 from ..errors import QueryError
 from ..gpu.pipeline import Device
 from ..gpu.programs import test_bit_kil_program, test_bit_program
+from ..gpu.state import RenderState
 from ..gpu.texture import Texture
 from ..gpu.types import CompareFunc, StencilOp
 from .compare import compare_pass, copy_to_depth
@@ -299,6 +300,22 @@ def _test_bit_kil(channel: int):
     return test_bit_kil_program(channel)
 
 
+def accumulator_state(
+    state: RenderState, use_alpha_test: bool = True
+) -> None:
+    """The fixed-function state of the Accumulator's bit passes (stencil
+    aside): color writes and the depth tests off, and the alpha test
+    passing ``alpha >= 0.5`` unless the ``KIL`` variant rejects in the
+    program instead."""
+    state.color_mask = (False, False, False, False)
+    state.depth.enabled = False
+    state.depth_bounds.enabled = False
+    state.alpha.enabled = use_alpha_test
+    if use_alpha_test:
+        state.alpha.func = CompareFunc.GEQUAL
+        state.alpha.reference = 0.5
+
+
 def accumulate(
     device: Device,
     texture: Texture,
@@ -321,18 +338,11 @@ def accumulate(
     """
     texture.assert_integer_exact()
     state = device.state
-    state.color_mask = (False, False, False, False)
-    state.depth.enabled = False
-    state.depth_bounds.enabled = False
+    accumulator_state(state, use_alpha_test)
     _configure_valid_stencil(device, valid_stencil)
-    if use_alpha_test:
-        device.set_program(_test_bit(channel))
-        state.alpha.enabled = True
-        state.alpha.func = CompareFunc.GEQUAL
-        state.alpha.reference = 0.5
-    else:
-        device.set_program(_test_bit_kil(channel))
-        state.alpha.enabled = False
+    device.set_program(
+        _test_bit(channel) if use_alpha_test else _test_bit_kil(channel)
+    )
 
     queries = []
     try:

@@ -21,6 +21,7 @@ from ..errors import QueryError
 from ..faults import SITE_DEPTH_COPY, maybe_inject
 from ..gpu.pipeline import Device
 from ..gpu.programs import copy_to_depth_program
+from ..gpu.state import RenderState
 from ..gpu.texture import Texture
 from ..gpu.types import CompareFunc
 
@@ -28,6 +29,18 @@ from ..gpu.types import CompareFunc
 @lru_cache(maxsize=8)
 def _copy_program(channel: int):
     return copy_to_depth_program(channel)
+
+
+def copy_to_depth_state(state: RenderState) -> None:
+    """The fixed-function state of a ``CopyToDepth`` pass (stencil
+    aside): color writes and the alpha and depth-bounds tests off, an
+    always-passing depth test that writes."""
+    state.alpha.enabled = False
+    state.depth_bounds.enabled = False
+    state.color_mask = (False, False, False, False)
+    state.depth.enabled = True
+    state.depth.func = CompareFunc.ALWAYS
+    state.depth.write = True
 
 
 def copy_to_depth(
@@ -48,12 +61,7 @@ def copy_to_depth(
     # references to the stencil-state object, so it must not be replaced.
     stencil_was_enabled = state.stencil.enabled
     state.stencil.enabled = False
-    state.alpha.enabled = False
-    state.depth_bounds.enabled = False
-    state.color_mask = (False, False, False, False)
-    state.depth.enabled = True
-    state.depth.func = CompareFunc.ALWAYS
-    state.depth.write = True
+    copy_to_depth_state(state)
 
     device.set_program(_copy_program(channel))
     try:

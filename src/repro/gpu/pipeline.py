@@ -35,7 +35,7 @@ from .assembler import FragmentProgram
 from .counters import PassStats, PipelineStats
 from .framebuffer import FrameBuffer, depth_to_code
 from .interpreter import FragmentAttrib, ProgramInterpreter
-from .jit import KernelCache
+from .jit import KernelCache, live_color
 from .isa import NUM_PARAMETERS, NUM_TEXTURE_UNITS
 from .memory import VideoMemory
 from .occlusion import OcclusionQuery
@@ -389,15 +389,11 @@ class Device:
         frag_depth = None
         if self._program is not None:
             if self.jit:
-                # Whether any downstream stage observes the fragment
-                # color decides which compiled variant runs (color
-                # writes are dead code otherwise).
-                need_color = state.alpha.enabled or any(
-                    state.color_mask
-                )
+                # The color components a later stage observes pick the
+                # compiled variant (everything else is dead code).
                 kernel = self.kernels.get_or_bind(
                     self._program,
-                    need_color,
+                    live_color(state),
                     self._textures,
                     self._parameters,
                 )

@@ -250,6 +250,24 @@ class Texture:
             out[:, 3] = 1.0
         return out
 
+    def fetch_component(
+        self, texel_indices: np.ndarray, component: int
+    ) -> np.ndarray:
+        """Component ``component`` (0-3) of :meth:`fetch`: one gathered
+        ``(n,)`` column, with the same fill convention for channels the
+        texture lacks."""
+        channels = self.channels
+        if channels == 1:
+            source = 0 if component < 3 else None
+        elif channels == 2:
+            source = {0: 0, 3: 1}.get(component)
+        else:
+            source = component if component < channels else None
+        if source is not None:
+            return self.linear_view()[texel_indices, source]
+        fill = 0.0 if channels == 2 else 1.0
+        return np.full(texel_indices.shape[0], fill, dtype=np.float32)
+
     def write_texels(self, start: int, values: np.ndarray) -> int:
         """Overwrite a contiguous texel range (row-major from ``start``).
 

@@ -320,24 +320,33 @@ class Database:
     def _kernel_summaries(schedule: PassSchedule) -> list[str]:
         """Compiled-kernel one-liners for the statically-known fragment
         programs a schedule's passes bind (copy-to-depth and the
-        Accumulator's alpha-tested TestBit), deduplicated in first-use
-        order."""
-        from ..gpu.jit import kernel_summary
+        Accumulator's alpha-tested TestBit), each compiled for the
+        color components its pass's render state observes — the
+        variant the device binds — deduplicated in first-use order."""
+        from ..core.aggregates import accumulator_state
+        from ..core.compare import copy_to_depth_state
+        from ..gpu.jit import kernel_summary, live_color
         from ..gpu.programs import copy_to_depth_program, test_bit_program
+        from ..gpu.state import RenderState
         from ..plan import CompareQuadPass, CopyDepthPass
+
+        def live_under(configure) -> tuple:
+            state = RenderState()
+            configure(state)
+            return live_color(state)
 
         summaries: list[str] = []
         for node in schedule.nodes:
             if isinstance(node, CopyDepthPass):
                 text = kernel_summary(
-                    copy_to_depth_program(node.channel)
+                    copy_to_depth_program(node.channel),
+                    live_under(copy_to_depth_state),
                 )
             elif isinstance(node, CompareQuadPass) and (
                 node.detail.startswith("TestBit")
             ):
-                # The alpha test consumes the program's color output.
                 text = kernel_summary(
-                    test_bit_program(), need_color=True
+                    test_bit_program(), live_under(accumulator_state)
                 )
             else:
                 continue

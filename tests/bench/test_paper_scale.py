@@ -77,3 +77,19 @@ class TestHeadlineRatios:
     def test_util_near_80_percent(self):
         result = run_experiment("util", PAPER_POINTS)
         assert 0.55 < result.headlines["utilization"] < 0.95
+
+
+class TestAblationsAtPaperScale:
+    """Each ablation variant runs on its own engine: a second variant
+    on the first one's engine hits its depth-copy cache and measures
+    the plan cache instead of the paper's claim."""
+
+    def test_cnf_costs_more_than_depth_bounds(self):
+        result = run_experiment("ablation_range", PAPER_POINTS)
+        assert result.headlines["CNF / depth-bounds time"] > 1.2
+
+    def test_copyshare_counts_one_copy_against_two(self):
+        result = run_experiment("ablation_copyshare", PAPER_POINTS)
+        assert result.headlines["copies, same attribute"] == 1
+        assert result.headlines["copies, two attributes"] == 2
+        assert result.headlines["time saved by sharing"] > 0

@@ -21,6 +21,7 @@ from repro.gpu import CompareFunc, Device, StencilOp, Texture
 from repro.gpu.counters import PassStats
 from repro.gpu.framebuffer import depth_to_code
 from repro.gpu.interpreter import FragmentAttrib, ProgramInterpreter
+from repro.gpu.jit import live_color
 from repro.gpu.programs import (
     copy_to_depth_program,
     passthrough_program,
@@ -57,12 +58,9 @@ class ReferenceDevice(Device):
         # Stage 1: fragment program (or fixed-function passthrough).
         if self._program is not None:
             if self.jit:
-                need_color = state.alpha.enabled or any(
-                    state.color_mask
-                )
                 kernel = self.kernels.get_or_bind(
                     self._program,
-                    need_color,
+                    live_color(state),
                     self._textures,
                     self._parameters,
                 )

@@ -6,6 +6,7 @@ import pytest
 from repro.core import CpuEngine, GpuEngine
 from repro.errors import SqlPlanError
 from repro.gpu.counters import PipelineStats
+from repro.gpu.jit import KernelCache, kernel_summary
 from repro.plan import PassSchedule
 from repro.sql import Database, Device, DeviceChoice
 
@@ -128,3 +129,32 @@ class TestUnifiedAccessors:
         assert len(ops) == 2
         expected = db.query(SQL, device=Device.CPU)
         assert result.rows == expected.rows
+
+
+class TestExplainKernels:
+    def test_kernel_lines_are_the_bound_variants(
+        self, db, small_relation, monkeypatch
+    ):
+        """``explain(sql, jit=True)`` names each program compiled for
+        exactly the live mask the device binds it with while the same
+        query runs."""
+        sql = (
+            "SELECT SUM(data_count), MEDIAN(flow_rate) FROM tcpip "
+            "WHERE data_count >= 1000"
+        )
+        explained = db.explain(sql, device=Device.GPU, jit=True)
+        bound = []
+        original = KernelCache.get_or_bind
+
+        def spy(self, program, live, textures, parameters):
+            bound.append(kernel_summary(program, live))
+            return original(self, program, live, textures, parameters)
+
+        monkeypatch.setattr(KernelCache, "get_or_bind", spy)
+        db.gpu_engine(small_relation.name).device.jit = True
+        db.query(sql, device=Device.GPU)
+        assert explained.meta["kernels"] == list(dict.fromkeys(bound))
+        assert any(
+            line.startswith("test-bit.x: 4/5 ops after DCE, live o[COLR].w")
+            for line in explained.meta["kernels"]
+        )
