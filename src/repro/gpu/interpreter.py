@@ -261,16 +261,7 @@ class ProgramInterpreter:
             raise ProgramExecutionError(
                 f"TEX references unit {unit} but no texture is bound"
             )
-        # Nearest-neighbour sampling of normalized (s, t) coordinates.
-        s = coords[:, 0].astype(np.float64)
-        t = coords[:, 1].astype(np.float64)
-        u = np.clip(
-            np.floor(s * texture.width), 0, texture.width - 1
-        ).astype(np.int64)
-        v = np.clip(
-            np.floor(t * texture.height), 0, texture.height - 1
-        ).astype(np.int64)
-        indices = v * texture.width + u
+        indices = texture.nearest_indices(coords[:, 0], coords[:, 1])
         return texture.fetch(indices)
 
 

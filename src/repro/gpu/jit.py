@@ -507,7 +507,6 @@ def _make_tex(kernel, instruction, needed, textures, parameters):
     read_s = _make_reader(src, swizzle[0], parameters)
     read_t = _make_reader(src, swizzle[1], parameters)
     texture = textures[instruction.texture_unit]
-    width, height = texture.width, texture.height
     memoizable = (
         src.file is RegisterFile.FRAGMENT
         and src.attrib in _GEOMETRY_ATTRIBS
@@ -516,11 +515,7 @@ def _make_tex(kernel, instruction, needed, textures, parameters):
     prefix = (texture.id, texture.generation, src)
 
     def texel_indices(env):
-        s = read_s(env).astype(np.float64)
-        t = read_t(env).astype(np.float64)
-        u = np.clip(np.floor(s * width), 0, width - 1).astype(np.int64)
-        v = np.clip(np.floor(t * height), 0, height - 1).astype(np.int64)
-        return v * width + u
+        return texture.nearest_indices(read_s(env), read_t(env))
 
     def compute(env):
         token = env.batch.geometry_token if memoizable else None

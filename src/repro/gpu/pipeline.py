@@ -42,7 +42,45 @@ from .occlusion import OcclusionQuery
 from .raster import Rect, full_screen, rasterize_rect, rects_for_count
 from .state import RenderState
 from .texture import Texture
-from .types import StencilOp
+from .types import CompareFunc, StencilOp
+
+
+#: The unsigned integer type each buffer element is blended as.
+_BITS = {1: np.uint8, 4: np.uint32}
+
+
+def masked_write(buffer: np.ndarray, value, mask: np.ndarray | None) -> None:
+    """Write ``value`` into the ``buffer`` view where ``mask`` is set;
+    a None ``mask`` writes every element.
+
+    The masked case is a branch-free bit blend on the buffer's
+    same-width unsigned view, ``bits ^= (bits ^ new) * mask``: it moves
+    every element's bits whatever the mask's pattern (a scattered mask
+    costs no mispredicted branch per fragment) and keeps NaN payloads
+    and -0.0 exactly.  ``value`` is a scalar or broadcasts to
+    ``buffer``.
+    """
+    if mask is None:
+        buffer[...] = value
+        return
+    uint = _BITS[buffer.dtype.itemsize]
+    bits = buffer.view(uint)
+    diff = np.bitwise_xor(
+        bits, np.asarray(value, dtype=buffer.dtype).view(uint)
+    )
+    diff *= mask
+    bits ^= diff
+
+
+def _survivors(
+    alive: np.ndarray | None, passing: np.ndarray, total: int
+) -> tuple[np.ndarray | None, int]:
+    """AND a test's ``passing`` mask into the survivors ``alive`` (None:
+    all ``total`` fragments).  Returns the new mask, None again when
+    every fragment survives, and its count."""
+    alive = passing if alive is None else alive & passing
+    live = int(np.count_nonzero(alive))
+    return (None if live == total else alive), live
 
 
 class Device:
@@ -386,6 +424,14 @@ class Device:
         state = self.state
 
         # Stage 1: fragment program (or fixed-function passthrough).
+        # ``alive`` is the survivor mask, None while every fragment
+        # survives, and ``live`` counts the survivors.  A test's
+        # failures are the survivors it removed: ``before - live`` of
+        # them, masked by ``before ^ alive`` (``~passing`` when
+        # ``before`` was None).
+        total = batch.count
+        alive = None
+        live = total
         frag_depth = None
         if self._program is not None:
             if self.jit:
@@ -405,40 +451,53 @@ class Device:
                 result = interpreter.run(self._program, batch)
             frag_color = result.color
             frag_depth = result.depth
-            alive = ~result.killed.reshape(shape)
+            killed = int(np.count_nonzero(result.killed))
+            if killed:
+                alive = ~result.killed.reshape(shape)
+                live = total - killed
             stats.program = self._program.name
             stats.program_length = self._program.num_instructions
             stats.instructions_executed += result.instructions_executed
             stats.writes_depth_from_program = self._program.writes_depth
-            stats.killed += int(np.count_nonzero(result.killed))
+            stats.killed += killed
         else:
             frag_color = batch.attribute(FragmentAttrib.COL0)
-            alive = np.ones(shape, dtype=bool)
         frag_color = frag_color.reshape(shape + (4,))
 
         # Stage 2: alpha test.
-        if state.alpha.enabled:
-            alpha_pass = state.alpha.func.apply(
-                frag_color[..., 3], np.float32(state.alpha.reference)
+        alpha = state.alpha
+        if alpha.enabled and alpha.func is not CompareFunc.ALWAYS:
+            alpha_pass = alpha.func.apply(
+                frag_color[..., 3], np.float32(alpha.reference)
             )
-            stats.alpha_failed += int(np.count_nonzero(alive & ~alpha_pass))
-            alive = alive & alpha_pass
+            before = live
+            alive, live = _survivors(alive, alpha_pass, total)
+            stats.alpha_failed += before - live
 
         # Stage 3: stencil test.  GL convention: the test passes when
         # ``(ref & mask) func (stencil & mask)``; the scalar reference
         # is on the left, hence the swapped comparison.
-        if state.stencil.enabled:
-            mask = np.uint8(state.stencil.mask)
-            stencil_pass = state.stencil.func.swap().apply(
-                region.stencil & mask,
-                np.uint8(state.stencil.reference) & mask,
+        stencil = state.stencil
+        if stencil.enabled and stencil.func is not CompareFunc.ALWAYS:
+            mask = np.uint8(stencil.mask)
+            stored = region.stencil
+            if mask != 0xFF:
+                stored = stored & mask
+            stencil_pass = stencil.func.swap().apply(
+                stored, np.uint8(stencil.reference) & mask
             )
-            sfail = alive & ~stencil_pass
-            stats.stencil_failed += int(np.count_nonzero(sfail))
-            self._apply_stencil_op(
-                state.stencil.sfail, region.stencil, sfail, stats
-            )
-            alive = alive & stencil_pass
+            before, count = alive, live
+            alive, live = _survivors(alive, stencil_pass, total)
+            count -= live
+            stats.stencil_failed += count
+            if count and stencil.sfail is not StencilOp.KEEP:
+                self._apply_stencil_op(
+                    stencil.sfail,
+                    region.stencil,
+                    ~stencil_pass if before is None else before ^ alive,
+                    count,
+                    stats,
+                )
 
         # Stage 4: depth-bounds test against the *stored* depth
         # (EXT_depth_bounds_test).  Failures are discarded outright.
@@ -446,10 +505,9 @@ class Device:
             low = depth_to_code(state.depth_bounds.zmin)
             high = depth_to_code(state.depth_bounds.zmax)
             bounds_pass = (region.depth >= low) & (region.depth <= high)
-            stats.depth_bounds_failed += int(
-                np.count_nonzero(alive & ~bounds_pass)
-            )
-            alive = alive & bounds_pass
+            before = live
+            alive, live = _survivors(alive, bounds_pass, total)
+            stats.depth_bounds_failed += before - live
 
         # Stage 5: depth test.  Without a program-written depth every
         # fragment carries the quad depth (the float32 WPOS.z), so it
@@ -460,71 +518,84 @@ class Device:
                 frag_codes = depth_to_code(np.float32(depth))
             else:
                 frag_codes = depth_to_code(frag_depth).reshape(shape)
-            depth_pass = state.depth.func.swap().apply(
-                region.depth, frag_codes
-            )
-            # Early-z hardware would evaluate this same comparison before
-            # shading; capture it pre-write for the cost model.
-            early_z_survivors = int(np.count_nonzero(depth_pass))
-            zfail = alive & ~depth_pass
-            stats.depth_failed += int(np.count_nonzero(zfail))
-            if state.stencil.enabled:
-                self._apply_stencil_op(
-                    state.stencil.zfail, region.stencil, zfail, stats
+            if state.depth.func is not CompareFunc.ALWAYS:
+                depth_pass = state.depth.func.swap().apply(
+                    region.depth, frag_codes
                 )
-            alive = alive & depth_pass
+                if self._program is not None:
+                    # Early-z hardware would evaluate this same
+                    # comparison before shading; capture it pre-write
+                    # for the cost model.
+                    early_z_survivors = int(np.count_nonzero(depth_pass))
+                before, count = alive, live
+                alive, live = _survivors(alive, depth_pass, total)
+                count -= live
+                stats.depth_failed += count
+                if (
+                    count
+                    and stencil.enabled
+                    and stencil.zfail is not StencilOp.KEEP
+                ):
+                    self._apply_stencil_op(
+                        stencil.zfail,
+                        region.stencil,
+                        ~depth_pass if before is None else before ^ alive,
+                        count,
+                        stats,
+                    )
+            else:
+                early_z_survivors = total
             if state.depth.write:
-                writes = int(np.count_nonzero(alive))
-                if writes:
-                    np.copyto(region.depth, frag_codes, where=alive)
+                if live:
+                    masked_write(region.depth, frag_codes, alive)
                     self.depth_generation += 1
-                stats.depth_writes += writes
-        if state.stencil.enabled:
+                stats.depth_writes += live
+        if live and stencil.enabled and stencil.zpass is not StencilOp.KEEP:
             self._apply_stencil_op(
-                state.stencil.zpass, region.stencil, alive, stats
+                stencil.zpass, region.stencil, alive, live, stats
             )
 
         # Stage 6: occlusion counting and color write.
-        passed = int(np.count_nonzero(alive))
-        stats.passed += passed
+        stats.passed += live
         if self._active_query is not None and self._active_query.active:
-            self._active_query._add(passed)
-        if any(state.color_mask):
+            self._active_query._add(live)
+        if live and any(state.color_mask):
             for channel, enabled in enumerate(state.color_mask):
                 if enabled:
-                    np.copyto(
+                    masked_write(
                         region.color[..., channel],
                         frag_color[..., channel],
-                        where=alive,
+                        alive,
                     )
-            stats.color_writes += passed * sum(state.color_mask)
+        stats.color_writes += live * sum(state.color_mask)
 
-        self._accumulate_early_z(stats, early_z_survivors, batch.count)
+        self._accumulate_early_z(stats, early_z_survivors, total)
 
     def _apply_stencil_op(
         self,
         op: StencilOp,
         stencil: np.ndarray,
-        mask: np.ndarray,
+        mask: np.ndarray | None,
+        count: int,
         stats: PassStats,
     ) -> None:
-        """Run ``op`` on the ``stencil`` view where ``mask`` is set."""
-        if op is StencilOp.KEEP:
-            return
-        current = stencil[mask]
-        if current.size == 0:
-            return
-        updated = op.apply(current, self.state.stencil.reference)
+        """Run ``op`` on the ``count`` fragments of the ``stencil`` view
+        that ``mask`` selects (every fragment when None).
+
+        The op and the write mask run over the whole view; the blend
+        lands the result on the selected fragments only.
+        """
+        updated = op.apply(stencil, self.state.stencil.reference)
         write_mask = self.state.stencil.write_mask
         if write_mask != 0xFF:
             # glStencilMask: only the masked bits change.
             keep_bits = np.uint8(0xFF & ~write_mask)
-            updated = (current & keep_bits) | (
+            updated = (stencil & keep_bits) | (
                 updated & np.uint8(write_mask)
             )
-        stencil[mask] = updated
+        masked_write(stencil, updated, mask)
         self.stencil_generation += 1
-        stats.stencil_writes += current.size
+        stats.stencil_writes += count
 
     def _accumulate_early_z(
         self,

@@ -39,6 +39,13 @@ def _allocate_texture_id() -> int:
     return _next_texture_id
 
 
+def _nearest(coord: np.ndarray, size: int) -> np.ndarray:
+    """Clamp-to-edge nearest texel of normalized ``coord`` along an axis
+    of ``size`` texels (``fmax`` maps NaN to 0)."""
+    texel = np.floor(np.asarray(coord, dtype=np.float64) * size)
+    return np.minimum(np.fmax(texel, 0), size - 1).astype(np.int64)
+
+
 def texture_shape_for(count: int) -> tuple[int, int]:
     """Pick a (height, width) able to hold ``count`` texels.
 
@@ -225,6 +232,17 @@ class Texture:
                 f"{self.channels}-channel texture"
             )
         return self.linear_view()[: self.count, channel].copy()
+
+    def nearest_indices(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Linear texel indices of nearest-neighbour samples at the
+        normalized coordinates ``(s, t)``.
+
+        Coordinates clamp to the edge: ``-inf`` samples the first
+        texel of its axis, ``+inf`` the last, and NaN texel 0.
+        """
+        u = _nearest(s, self.width)
+        v = _nearest(t, self.height)
+        return v * self.width + u
 
     def fetch(self, texel_indices: np.ndarray) -> np.ndarray:
         """Texel fetch: gather RGBA values for linear texel indices.

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import GpuEngine
@@ -167,6 +167,37 @@ class TestOpcodeEquivalence:
         )
         interp, jit = _both(program, batch, textures={0: texture})
         _assert_equal_results(interp, jit)
+
+    def test_tex_at_non_finite_coordinates_clamps_to_edge(self):
+        """NaN samples texel 0; -inf and +inf clamp to the first and
+        last texel of their axis, on both executors."""
+        texture = Texture.from_values(
+            np.arange(12, dtype=np.float32), shape=(3, 4)
+        )
+        nan, inf = np.float32("nan"), np.float32("inf")
+        st_pairs = [
+            (nan, nan, 0.0),
+            (nan, 0.9, 8.0),
+            (0.6, nan, 2.0),
+            (-inf, -inf, 0.0),
+            (inf, inf, 11.0),
+            (inf, -inf, 3.0),
+            (-inf, inf, 8.0),
+            (inf, nan, 3.0),
+        ]
+        count = len(st_pairs)
+        coords = np.zeros((count, 4), dtype=np.float32)
+        coords[:, :2] = [(s, t) for s, t, _ in st_pairs]
+        batch = FragmentBatch(
+            count=count, attributes={FragmentAttrib.TEX0: coords}
+        )
+        program = _program(
+            ["TEX R0, f[TEX0], TEX0, 2D;", "MOV o[COLR], R0;"]
+        )
+        interp, jit = _both(program, batch, textures={0: texture})
+        _assert_equal_results(interp, jit)
+        expected = [texel for _, _, texel in st_pairs]
+        assert interp.color[:, 0].tolist() == expected
 
     def test_shipped_programs_match(self):
         """The programs the engine actually binds, under a real batch."""
@@ -615,14 +646,9 @@ class TestPerComponentDifferential:
             rng, 24, ("geometry",) if memoized else None
         )
         with np.errstate(all="ignore"):
-            try:
-                interp = ProgramInterpreter(textures, parameters).run(
-                    program, batch
-                )
-            except IndexError:
-                # A TEX coordinate read from a temporary went NaN: both
-                # executors' sampling is undefined there (ROADMAP).
-                reject()
+            interp = ProgramInterpreter(textures, parameters).run(
+                program, batch
+            )
             jit = KernelCache().get_or_bind(
                 program, live, textures, parameters
             ).run(batch)

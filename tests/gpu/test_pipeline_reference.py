@@ -6,9 +6,10 @@ implementation of ``Device._draw``: linear pixel indices, per-fragment
 gathers and scatters into the flat buffers, an int64 stencil reference
 array and a depth code quantized per fragment.  Hypothesis draws small
 screens, quad shapes, the whole fixed-function state space and a set of
-the library's programs on both backends; the two devices must agree on
-every buffer, every ``PassStats`` field, the occlusion count and the
-generation counters.
+the library's programs on both backends, with quad and stored colors
+that include NaN payloads, signed zeros and infinities.  The two
+devices must agree bit for bit on every buffer, every ``PassStats``
+field, the occlusion count and the generation counters.
 """
 
 import dataclasses
@@ -193,6 +194,18 @@ _PROGRAMS = {
     "passthrough": (passthrough_program, 0.0),
 }
 
+#: Colors whose bits a masked write must move exactly: quiet NaNs of
+#: both signs with a payload, both zeros and both infinities.
+_SPECIAL_FLOATS = np.array(
+    [0x7FC01234, 0xFFC0ABCD, 0x80000000, 0x00000000, 0x7F800000,
+     0xFF800000],
+    dtype=np.uint32,
+).view(np.float32)
+_channels = st.one_of(
+    st.sampled_from(list(_SPECIAL_FLOATS)),
+    st.floats(0.0, 1.0, width=32),
+)
+
 _funcs = st.sampled_from(list(CompareFunc))
 _ops = st.sampled_from(list(StencilOp))
 _bytes = st.integers(0, 255)
@@ -227,10 +240,7 @@ def _scenarios(draw):
         "quad_depths": draw(
             st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2)
         ),
-        "color": tuple(
-            draw(st.lists(st.floats(0.0, 1.0, width=32), min_size=4,
-                          max_size=4))
-        ),
+        "color": tuple(draw(st.lists(_channels, min_size=4, max_size=4))),
         "alpha": (draw(st.booleans()), draw(_funcs),
                   draw(st.floats(0.0, 1.0))),
         "stencil": (draw(st.booleans()), draw(_funcs), draw(_bytes),
@@ -264,6 +274,10 @@ def _run(device_class, scenario):
         rng.integers(0, 1 << 24, fb.num_pixels),
     )
     fb.color.data[:] = rng.random((fb.num_pixels, 4), dtype=np.float32)
+    special = rng.random((fb.num_pixels, 4)) < 0.5
+    fb.color.data[special] = rng.choice(
+        _SPECIAL_FLOATS, np.count_nonzero(special)
+    )
 
     state = device.state
     state.alpha.enabled, state.alpha.func, state.alpha.reference = (
@@ -319,7 +333,9 @@ def test_rect_views_match_fancy_indexed_reference(scenario):
     device, occlusion = _run(Device, scenario)
     reference, expected_occlusion = _run(ReferenceDevice, scenario)
     fb, ref_fb = device.framebuffer, reference.framebuffer
-    assert np.array_equal(fb.color.data, ref_fb.color.data)
+    assert np.array_equal(
+        fb.color.data.view(np.uint32), ref_fb.color.data.view(np.uint32)
+    )
     assert np.array_equal(fb.depth.codes, ref_fb.depth.codes)
     assert np.array_equal(fb.stencil.values, ref_fb.stencil.values)
     assert [dataclasses.asdict(p) for p in device.stats.passes] == [
