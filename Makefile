@@ -84,7 +84,7 @@ chaos-concurrent:
 bench-gate:
 	PYTHONPATH=src python -m repro.bench --snapshot /tmp/BENCH_current.json
 	PYTHONPATH=src python -m repro.bench.compare /tmp/BENCH_current.json \
-		--against BENCH_17.json
+		--against BENCH_18.json
 
 # Trace the figure-9 workload (selection + masked median) per pass;
 # writes traces/fig9.txt (pass tree) and traces/fig9.json (load in

@@ -11,8 +11,10 @@ here without the end-to-end harness::
 import numpy as np
 import pytest
 
+from repro.core.aggregates import accumulator_state
 from repro.core.compare import copy_to_depth
 from repro.gpu import CompareFunc, Device, StencilOp, Texture
+from repro.gpu.programs import test_bit_program as bit_program
 from repro.gpu.types import DEPTH_MAX_CODE
 
 SIDE = 1024
@@ -84,3 +86,59 @@ def test_copy_to_depth_pass(benchmark, device):
         device,
         lambda: copy_to_depth(device, texture, 1.0 / (1 << 20)),
     )
+
+
+@pytest.mark.benchmark(group="pipeline")
+def test_test_bit_pass(benchmark, device):
+    """One bit of routine 4.6's Accumulator: the ``TestBit`` program
+    moves bit 3 of each texel into alpha, the alpha test passes the
+    bit-set fragments, stencil ``EQUAL`` keeps the valid records and
+    an occlusion query counts the survivors."""
+    rng = np.random.default_rng(11)
+    texture = Texture(
+        rng.integers(0, 1 << 20, (SIDE, SIDE)).astype(np.float32)
+    )
+    accumulator_state(device.state)
+    stencil = device.state.stencil
+    stencil.enabled = True
+    stencil.func = CompareFunc.EQUAL
+    stencil.reference = 1
+    device.set_program(bit_program(0))
+    device.set_program_parameter(0, 1.0 / (1 << 4))
+
+    def run():
+        device.begin_query()
+        device.render_textured_quad(texture)
+        device.end_query()
+
+    _pass_stats(benchmark, device, run)
+
+
+@pytest.mark.benchmark(group="pipeline")
+def test_eval_cnf_incr_pass(benchmark, device):
+    """A predicate pass of an odd ``EvalCNF`` clause (routine 4.3):
+    stencil ``EQUAL 1`` with ``zpass INCR`` behind a depth ``LEQUAL``
+    against the stored attribute, over stored stencils in {0, 1, 2}.
+    The stencil is restored before every round, so each round sees the
+    same scattered masks."""
+    fb = device.framebuffer
+    stored = np.random.default_rng(5).integers(0, 3, fb.num_pixels)
+    stored = stored.astype(np.uint8)
+    state = device.state
+    state.stencil.enabled = True
+    state.stencil.func = CompareFunc.EQUAL
+    state.stencil.reference = 1
+    state.stencil.zpass = StencilOp.INCR
+    state.depth.enabled = True
+    state.depth.func = CompareFunc.LEQUAL
+    state.depth.write = False
+
+    def restore():
+        fb.stencil.values[:] = stored
+
+    benchmark.pedantic(
+        lambda: device.render_quad(0.5), setup=restore, rounds=50
+    )
+    stats = device.stats.passes[-1]
+    benchmark.extra_info["fragments"] = stats.fragments
+    benchmark.extra_info["passed"] = stats.passed

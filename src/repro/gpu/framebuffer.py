@@ -27,21 +27,33 @@ from .types import DEPTH_BITS, DEPTH_MAX_CODE, STENCIL_MAX
 _DEPTH_SCALE = float(1 << DEPTH_BITS)
 
 
-def depth_to_code(depth: np.ndarray | float) -> np.ndarray:
+def depth_to_code(
+    depth: np.ndarray | float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Quantize normalized depths in ``[0, 1]`` to integer depth codes.
 
-    Uses ``floor(d * 2**24)`` clamped to the representable range, which
+    Clamps ``d * 2**24`` to ``[0, DEPTH_MAX_CODE]`` and truncates in the
+    cast: on the clamped range truncation is ``floor``, so this
     round-trips ``value / 2**b`` exactly for integers of up to 24 bits.
-    Scaling by a power of two is exact in any binary precision, so
-    float32 fragment depths stay float32; other inputs are promoted to
-    float64 first.
+    The clamp ignores NaN, so a NaN depth is code 0, +inf the largest
+    code and -inf code 0.  Scaling by a power of two is exact in any
+    binary precision, so float32 fragment depths stay float32; other
+    inputs are promoted to float64 first.
+
+    With ``out`` (a ``uint32`` array or view ``depth`` broadcasts to)
+    the codes are cast straight into it, and ``out`` is returned.
     """
     d = np.asarray(depth)
     if d.dtype != np.float32:
         d = d.astype(np.float64)
     with np.errstate(over="ignore"):  # clamped below either way
-        codes = np.floor(d * d.dtype.type(_DEPTH_SCALE))
-    return np.clip(codes, 0, DEPTH_MAX_CODE).astype(np.uint32)
+        scaled = np.asarray(d * d.dtype.type(_DEPTH_SCALE))
+    np.fmax(scaled, 0, out=scaled)
+    np.fmin(scaled, DEPTH_MAX_CODE, out=scaled)
+    if out is None:
+        return scaled.astype(np.uint32)
+    np.copyto(out, scaled, casting="unsafe")
+    return out
 
 
 def code_to_depth(code: np.ndarray) -> np.ndarray:

@@ -69,17 +69,32 @@ class FragmentBatch:
             ) from None
 
 
+#: The four ``(count,)`` float32 color columns (r, g, b, a) of a
+#: fragment batch; None for a component no stage observes.
+ColorColumns = tuple[np.ndarray | None, ...]
+
+
+def color_columns(rgba: np.ndarray) -> ColorColumns:
+    """The column views of a ``(count, 4)`` color array."""
+    return rgba[:, 0], rgba[:, 1], rgba[:, 2], rgba[:, 3]
+
+
 @dataclasses.dataclass
 class ProgramResult:
-    """Outputs of executing a program over a fragment batch."""
+    """Outputs of executing a program over a fragment batch.
 
-    #: ``(count, 4)`` final fragment colors.
-    color: np.ndarray
+    Every array may be a view or a read-only broadcast: consumers only
+    read them.
+    """
+
+    #: Final fragment colors, one column per component.
+    color: ColorColumns
     #: ``(count,)`` fragment depth values, or None when the program did
     #: not write ``o[DEPR]`` (the rasterized depth is used instead).
     depth: np.ndarray | None
-    #: ``(count,)`` True where ``KIL`` discarded the fragment.
-    killed: np.ndarray
+    #: ``(count,)`` True where ``KIL`` discarded the fragment, or None
+    #: when the program has no ``KIL``.
+    killed: np.ndarray | None
     #: Total instructions executed (count * program length) — feeds the
     #: cost model.
     instructions_executed: int
@@ -117,7 +132,7 @@ class ProgramInterpreter:
     ) -> ProgramResult:
         count = batch.count
         temporaries = [None] * NUM_TEMPORARIES
-        killed = np.zeros(count, dtype=bool)
+        killed = np.zeros(count, dtype=bool) if program.uses_kil else None
         out_color: np.ndarray | None = None
         out_depth: np.ndarray | None = None
 
@@ -166,9 +181,9 @@ class ProgramInterpreter:
             # A program that never writes o[COLR] passes the interpolated
             # primary color through (needed so the alpha test still has a
             # defined alpha for depth-only programs).
-            out_color = batch.attribute(FragmentAttrib.COL0).copy()
+            out_color = batch.attribute(FragmentAttrib.COL0)
         return ProgramResult(
-            color=out_color,
+            color=color_columns(out_color),
             depth=out_depth,
             killed=killed,
             instructions_executed=program.num_instructions * count,

@@ -49,7 +49,7 @@ import numpy as np
 from .. import sanitize
 from ..errors import ProgramExecutionError
 from .assembler import FragmentProgram
-from .interpreter import FragmentBatch, ProgramResult
+from .interpreter import FragmentBatch, ProgramResult, color_columns
 from .isa import (
     NUM_TEMPORARIES,
     FragmentAttrib,
@@ -334,11 +334,13 @@ class _Env:
 
     __slots__ = ("batch", "count", "regs", "killed", "out_depth")
 
-    def __init__(self, batch: FragmentBatch):
+    def __init__(self, batch: FragmentBatch, uses_kil: bool):
         self.batch = batch
         self.count = batch.count
         self.regs: list = [None] * (NUM_TEMPORARIES + 1)
-        self.killed = np.zeros(batch.count, dtype=bool)
+        self.killed = (
+            np.zeros(batch.count, dtype=bool) if uses_kil else None
+        )
         self.out_depth = None
 
 
@@ -619,8 +621,8 @@ class BoundKernel:
         #: shared dict) keyed ``(texture id, texture generation,
         #: coordinate operand, geometry token, component)``.
         self.tex_memo: dict = tex_memo if tex_memo is not None else {}
-        self._live = [c for c in range(4) if compiled.live[c]]
         self._writes_color = compiled.writes_color
+        self._uses_kil = compiled.uses_kil
         self._num_instructions = compiled.num_instructions
         self._steps = [
             _make_step(self, instruction, needed, textures, parameters)
@@ -630,22 +632,23 @@ class BoundKernel:
         ]
 
     def run(self, batch: FragmentBatch) -> ProgramResult:
-        env = _Env(batch)
+        env = _Env(batch, self._uses_kil)
         for step in self._steps:
             step(env)
+        live = self.compiled.live
         if self._writes_color:
-            # Planar: a dead component's row is zeros no one touches.
-            planar = np.zeros((4, batch.count), dtype=np.float32)
-            columns = env.regs[_COLOR_SLOT]
-            if columns is not None:
-                for c in self._live:
-                    if columns[c] is not None:
-                        planar[c] = columns[c]
-            color = planar.T
+            columns = env.regs[_COLOR_SLOT] or (None, None, None, None)
         else:
             # A program that never writes o[COLR] passes the quad
             # color (a read-only broadcast) through.
-            color = batch.attribute(FragmentAttrib.COL0)
+            columns = color_columns(batch.attribute(FragmentAttrib.COL0))
+        # A live component no write defined reads as zeros, as in the
+        # interpreter; a dead one is None.
+        zeros = np.broadcast_to(_ZERO, (batch.count,))
+        color = tuple(
+            (zeros if columns[c] is None else columns[c]) if live[c] else None
+            for c in range(4)
+        )
         return ProgramResult(
             color=color,
             depth=env.out_depth,

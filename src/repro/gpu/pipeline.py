@@ -34,7 +34,7 @@ from ..faults import SITE_PASS, SITE_READBACK, check_deadline, maybe_inject
 from .assembler import FragmentProgram
 from .counters import PassStats, PipelineStats
 from .framebuffer import FrameBuffer, depth_to_code
-from .interpreter import FragmentAttrib, ProgramInterpreter
+from .interpreter import FragmentAttrib, ProgramInterpreter, color_columns
 from .jit import KernelCache, live_color
 from .isa import NUM_PARAMETERS, NUM_TEXTURE_UNITS
 from .memory import VideoMemory
@@ -451,24 +451,24 @@ class Device:
                 result = interpreter.run(self._program, batch)
             frag_color = result.color
             frag_depth = result.depth
-            killed = int(np.count_nonzero(result.killed))
-            if killed:
-                alive = ~result.killed.reshape(shape)
-                live = total - killed
+            if result.killed is not None:
+                killed = int(np.count_nonzero(result.killed))
+                if killed:
+                    alive = ~result.killed.reshape(shape)
+                    live = total - killed
+                stats.killed += killed
             stats.program = self._program.name
             stats.program_length = self._program.num_instructions
             stats.instructions_executed += result.instructions_executed
             stats.writes_depth_from_program = self._program.writes_depth
-            stats.killed += killed
         else:
-            frag_color = batch.attribute(FragmentAttrib.COL0)
-        frag_color = frag_color.reshape(shape + (4,))
+            frag_color = color_columns(batch.attribute(FragmentAttrib.COL0))
 
         # Stage 2: alpha test.
         alpha = state.alpha
         if alpha.enabled and alpha.func is not CompareFunc.ALWAYS:
             alpha_pass = alpha.func.apply(
-                frag_color[..., 3], np.float32(alpha.reference)
+                frag_color[3].reshape(shape), np.float32(alpha.reference)
             )
             before = live
             alive, live = _survivors(alive, alpha_pass, total)
@@ -511,14 +511,21 @@ class Device:
 
         # Stage 5: depth test.  Without a program-written depth every
         # fragment carries the quad depth (the float32 WPOS.z), so it
-        # is quantized once.
+        # is quantized once.  A program-written depth is quantized only
+        # when something reads the codes: the comparison, or a write
+        # that lands on some fragments only.  A write that lands on
+        # every fragment quantizes straight into the buffer.
         early_z_survivors: int | None = None
         if state.depth.enabled:
+            compare = state.depth.func is not CompareFunc.ALWAYS
+            frag_codes = None
             if frag_depth is None:
                 frag_codes = depth_to_code(np.float32(depth))
             else:
-                frag_codes = depth_to_code(frag_depth).reshape(shape)
-            if state.depth.func is not CompareFunc.ALWAYS:
+                frag_depth = frag_depth.reshape(shape)
+                if compare or (state.depth.write and alive is not None):
+                    frag_codes = depth_to_code(frag_depth)
+            if compare:
                 depth_pass = state.depth.func.swap().apply(
                     region.depth, frag_codes
                 )
@@ -547,7 +554,10 @@ class Device:
                 early_z_survivors = total
             if state.depth.write:
                 if live:
-                    masked_write(region.depth, frag_codes, alive)
+                    if frag_codes is None:
+                        depth_to_code(frag_depth, out=region.depth)
+                    else:
+                        masked_write(region.depth, frag_codes, alive)
                     self.depth_generation += 1
                 stats.depth_writes += live
         if live and stencil.enabled and stencil.zpass is not StencilOp.KEEP:
@@ -564,7 +574,7 @@ class Device:
                 if enabled:
                     masked_write(
                         region.color[..., channel],
-                        frag_color[..., channel],
+                        frag_color[channel].reshape(shape),
                         alive,
                     )
         stats.color_writes += live * sum(state.color_mask)

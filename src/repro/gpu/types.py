@@ -121,7 +121,9 @@ class StencilOp(enum.Enum):
         """Return the updated stencil values (uint dtype preserved).
 
         ``INCR``/``DECR`` saturate at the representable range, matching
-        ``GL_INCR``/``GL_DECR`` (not the wrapping variants).
+        ``GL_INCR``/``GL_DECR`` (not the wrapping variants): they add or
+        subtract the boolean "not at the bound", which keeps the uint8
+        dtype and costs no per-element branch.
         """
         if self is StencilOp.KEEP:
             return stencil
@@ -130,9 +132,9 @@ class StencilOp(enum.Enum):
         if self is StencilOp.REPLACE:
             return np.full_like(stencil, reference & STENCIL_MAX)
         if self is StencilOp.INCR:
-            return np.where(stencil >= STENCIL_MAX, stencil, stencil + 1)
+            return stencil + (stencil != STENCIL_MAX)
         if self is StencilOp.DECR:
-            return np.where(stencil == 0, stencil, stencil - 1)
+            return stencil - (stencil != 0)
         # INVERT: bitwise complement within the stencil width.
         return (~stencil) & np.array(STENCIL_MAX, dtype=stencil.dtype)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import FramebufferError
 from repro.gpu.framebuffer import (
@@ -12,8 +13,39 @@ from repro.gpu.framebuffer import (
     depth_to_code,
 )
 from repro.gpu.pipeline import Device
+from repro.gpu.programs import copy_to_depth_program
 from repro.gpu.raster import Rect
-from repro.gpu.types import DEPTH_MAX_CODE
+from repro.gpu.texture import Texture
+from repro.gpu.types import DEPTH_MAX_CODE, CompareFunc
+
+
+def _floor_then_clip(depth: np.ndarray) -> np.ndarray:
+    """The quantizer's earlier formula, the oracle for non-NaN input:
+    ``floor(d * 2**24)`` clipped to the code range."""
+    with np.errstate(over="ignore"):
+        codes = np.floor(depth * depth.dtype.type(2**24))
+    return np.clip(codes, 0, DEPTH_MAX_CODE).astype(np.uint32)
+
+
+def _depths(dtype):
+    """Depths of ``dtype`` around every edge of the quantizer: any
+    non-NaN float (subnormals, negatives, above 1, infinities), and
+    ``k / 2**24`` exactly and one ulp either side."""
+    width = np.dtype(dtype).itemsize * 8
+    grid = st.integers(-4, (1 << 24) + 4).map(
+        lambda k: dtype(k) / dtype(1 << 24)
+    )
+    ulp = st.sampled_from([-np.inf, None, np.inf])
+    near = st.tuples(grid, ulp).map(
+        lambda pair: pair[0]
+        if pair[1] is None
+        else np.nextafter(pair[0], dtype(pair[1]))
+    )
+    return st.one_of(
+        st.floats(allow_nan=False, width=width),
+        st.floats(0.0, 1.0, width=width),
+        near,
+    )
 
 
 class TestDepthQuantization:
@@ -52,6 +84,59 @@ class TestDepthQuantization:
         codes = depth_to_code(values)
         assert codes[0] == (1 << 24) // 4
         assert codes[1] == (1 << 24) // 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    def test_clamp_then_truncate_equals_floor_then_clip(self, dtype, data):
+        depths = data.draw(
+            arrays(dtype, st.integers(1, 64), elements=_depths(dtype))
+        )
+        expected = _floor_then_clip(depths)
+        codes = depth_to_code(depths)
+        assert codes.dtype == np.uint32
+        assert np.array_equal(codes, expected)
+        # Cast straight into a sub-rect view of an (h, w) buffer: the
+        # same codes land in the rect and nothing outside it moves.
+        buffer = np.full((3, depths.size + 2), 7, dtype=np.uint32)
+        view = buffer[1:2, 1:-1]
+        assert depth_to_code(depths.reshape(1, -1), out=view) is view
+        assert np.array_equal(view[0], expected)
+        view[...] = 7
+        assert np.all(buffer == 7)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_depths_are_defined(self, dtype):
+        depths = np.array([np.nan, np.inf, -np.inf, -np.nan], dtype=dtype)
+        expected = [0, DEPTH_MAX_CODE, 0, 0]
+        assert depth_to_code(depths).tolist() == expected
+        out = np.zeros(4, dtype=np.uint32)
+        assert depth_to_code(depths, out=out).tolist() == expected
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("jit", [False, True])
+    @pytest.mark.parametrize(
+        "func", [CompareFunc.ALWAYS, CompareFunc.LEQUAL]
+    )
+    def test_program_written_non_finite_depths(self, jit, func):
+        """A program writing NaN, +inf and -inf to ``o[DEPR]`` lands
+        codes 0, the largest code and 0, with no warning, whether the
+        write lands on every fragment or the codes feed a comparison."""
+        device = Device(1, 4, jit=jit)
+        device.clear()  # every code passes LEQUAL against the far plane
+        device.state.color_mask = (False, False, False, False)
+        device.state.depth.enabled = True
+        device.state.depth.func = func
+        texture = Texture(
+            np.array([[np.nan, np.inf, -np.inf, 0.5]], dtype=np.float32)
+        )
+        device.set_program(copy_to_depth_program())
+        device.set_program_parameter(0, 1.0)
+        device.render_textured_quad(texture)
+        assert device.framebuffer.depth.codes.tolist() == [
+            0, DEPTH_MAX_CODE, 0, 1 << 23,
+        ]
+        assert device.stats.passes[-1].depth_writes == 4
 
     def test_code_to_depth_inverts_bucket_floor(self):
         codes = np.array([0, 1, DEPTH_MAX_CODE], dtype=np.uint32)

@@ -1,5 +1,7 @@
 """Fragment-program interpreter: opcode semantics, SIMD batches, TEX."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -41,7 +43,9 @@ def _run(source_lines, batch, textures=None, params=None):
         for index, value in params.items():
             bank[index] = value
     interpreter = ProgramInterpreter(textures or {}, bank)
-    return interpreter.run(program, batch)
+    result = interpreter.run(program, batch)
+    # The assertions read the color as (count, 4) rows.
+    return dataclasses.replace(result, color=np.stack(result.color, axis=1))
 
 
 class TestArithmetic:

@@ -35,7 +35,7 @@ def _run_scalar(lines, x, params=None):
         "\n".join(["!!FP1.0"] + lines + ["END"])
     )
     result = ProgramInterpreter({}, bank).run(program, batch)
-    return result.color[0]
+    return np.array([column[0] for column in result.color])
 
 
 class TestExactnessContracts:

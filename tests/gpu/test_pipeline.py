@@ -294,6 +294,28 @@ class TestCopyProgramIntegration:
         expected = (values.astype(np.int64) << (24 - 19))
         assert np.array_equal(codes.astype(np.int64), expected)
 
+    @pytest.mark.parametrize("jit", [False, True])
+    def test_copy_behind_a_stencil_test_lands_on_survivors_only(self, jit):
+        # No depth comparison, but the stencil test removed fragments:
+        # the program's depths must land on the survivors alone.
+        device = Device(4, 4, jit=jit)
+        device.clear(depth=1.0)
+        device.framebuffer.stencil.values[::2] = 1
+        device.state.stencil.enabled = True
+        device.state.stencil.func = CompareFunc.EQUAL
+        device.state.stencil.reference = 1
+        device.state.depth.enabled = True
+        device.state.depth.func = CompareFunc.ALWAYS
+        device.state.depth.write = True
+        device.set_program(copy_to_depth_program())
+        device.set_program_parameter(0, 1.0 / 16)
+        values = np.arange(16, dtype=np.float32).reshape(4, 4)
+        device.render_textured_quad(Texture(values))
+        expected = np.full(16, (1 << 24) - 1)
+        expected[::2] = values.ravel()[::2].astype(np.int64) << 20
+        assert device.framebuffer.depth.codes.tolist() == expected.tolist()
+        assert device.stats.passes[-1].depth_writes == 8
+
     def test_depth_program_pass_flagged_for_cost(self, device):
         texture = Texture.from_values(np.zeros(16), shape=(4, 4))
         device.set_program(copy_to_depth_program())
@@ -416,7 +438,8 @@ class TestLazyAttributes:
     def test_jit_passes_col0_through_as_a_broadcast(
         self, monkeypatch
     ):
-        # With color writes off the JIT hands COL0 on uncopied.
+        # The JIT hands COL0's observed columns on uncopied, and no
+        # column for a component no stage observes.
         colors = []
         run = BoundKernel.run
 
@@ -427,12 +450,13 @@ class TestLazyAttributes:
 
         monkeypatch.setattr(BoundKernel, "run", recording_run)
         device = Device(4, 4, jit=True)
-        device.state.color_mask = (False, False, False, False)
+        device.state.color_mask = (True, False, False, False)
         texture = Texture(np.arange(16, dtype=np.float32).reshape(4, 4))
         device.set_program(copy_to_depth_program())
         device.render_textured_quad(texture)
         (color,) = colors
-        assert _is_broadcast(color)
+        assert _is_broadcast(color[0])
+        assert color[1:] == (None, None, None)
 
     @pytest.mark.parametrize("jit", [False, True])
     def test_wpos_program_gets_pixel_centers_and_quad_depth(self, jit):

@@ -71,17 +71,28 @@ class ReferenceDevice(Device):
                     self._textures, self._parameters
                 )
                 result = interpreter.run(self._program, batch)
-            frag_color = result.color
+            # The result's columns as (count, 4) rows (a component no
+            # stage observes is None; it reads as zeros here) and its
+            # kill mask (None without KIL: nothing killed).
+            zeros = np.zeros(batch.count, dtype=np.float32)
+            frag_color = np.stack(
+                [zeros if c is None else c for c in result.color], axis=1
+            )
+            killed = (
+                np.zeros(batch.count, dtype=bool)
+                if result.killed is None
+                else result.killed
+            )
             if result.depth is not None:
                 frag_depth = result.depth
             else:
                 frag_depth = batch.attributes[FragmentAttrib.WPOS][:, 2]
-            alive = ~result.killed
+            alive = ~killed
             stats.program = self._program.name
             stats.program_length = self._program.num_instructions
             stats.instructions_executed += result.instructions_executed
             stats.writes_depth_from_program = self._program.writes_depth
-            stats.killed += int(np.count_nonzero(result.killed))
+            stats.killed += int(np.count_nonzero(killed))
         else:
             frag_color = batch.attributes[FragmentAttrib.COL0]
             frag_depth = batch.attributes[FragmentAttrib.WPOS][:, 2]
@@ -264,7 +275,12 @@ def _run(device_class, scenario):
     device = device_class(height, width, jit=scenario["jit"])
     rng = np.random.default_rng(scenario["seed"])
     fb = device.framebuffer
-    fb.stencil.values[:] = rng.integers(0, 256, fb.num_pixels)
+    # Any stored stencil, half of them at or next to a saturation
+    # bound, so INCR meets 255 and DECR meets 0.
+    stored = rng.integers(0, 256, fb.num_pixels)
+    edge = rng.random(fb.num_pixels) < 0.5
+    stored[edge] = rng.choice([0, 1, 254, 255], np.count_nonzero(edge))
+    fb.stencil.values[:] = stored
     # Stored depths on the grid the copy program writes, so equality
     # and bounds comparisons are exercised, plus arbitrary codes.
     grid = rng.integers(0, 1 << _BITS, fb.num_pixels).astype(np.uint32)

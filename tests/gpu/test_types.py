@@ -105,6 +105,31 @@ class TestStencilOp:
         got = StencilOp.INVERT.apply(self._stencil(0, 0xF0), 0)
         assert np.array_equal(got, [0xFF, 0x0F])
 
+    @pytest.mark.parametrize("op", list(StencilOp))
+    @pytest.mark.parametrize("reference", [0, 0x5A, 0x1FF])
+    def test_every_op_over_every_stored_value(self, op, reference):
+        """Each op over all 256 uint8 values (through a strided view)
+        equals the select-based reference, keeps uint8 and leaves its
+        input alone."""
+        buffer = np.zeros((256, 2), dtype=np.uint8)
+        buffer[:, 1] = np.arange(256)
+        stencil = buffer[:, 1]
+        expected = {
+            StencilOp.KEEP: stencil,
+            StencilOp.ZERO: np.zeros(256),
+            StencilOp.REPLACE: np.full(256, reference & STENCIL_MAX),
+            StencilOp.INCR: np.where(
+                stencil == STENCIL_MAX, stencil, stencil + 1
+            ),
+            StencilOp.DECR: np.where(stencil == 0, stencil, stencil - 1),
+            StencilOp.INVERT: STENCIL_MAX - stencil,
+        }[op]
+        got = op.apply(stencil, reference)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
+        assert np.array_equal(buffer[:, 1], np.arange(256))
+        assert not buffer[:, 0].any()
+
     @given(st.integers(0, 255))
     def test_incr_then_decr_round_trips_below_max(self, value):
         stencil = np.array([value], dtype=np.uint8)
