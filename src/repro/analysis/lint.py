@@ -133,6 +133,7 @@ class LintFinding:
 #: reach the device through an engine + ResilientExecutor, never raw.
 _ENGINE_ONLY_LAYERS = {
     "sql", "bench", "data", "cpu", "trace", "analysis", "olap.py",
+    "streams.py",
 }
 
 #: The only layers allowed to mutate device stencil/depth state

@@ -128,6 +128,19 @@ def _resilient(method):
     return wrapper
 
 
+def _planar_values(column) -> np.ndarray:
+    """What a column's single-channel texture holds: stored
+    (bias-encoded) values for integer columns and raw quantized values
+    for fixed-point columns, whose copy program's power-of-two
+    ``depth_scale`` keeps the depth mapping exact; pre-normalized values
+    (scale 1) for float columns."""
+    if column.is_integer:
+        return column.stored_values()
+    if column.is_fixed_point:
+        return column.values
+    return column.normalized_values()
+
+
 def split_copy_stats(
     window: PipelineStats,
 ) -> tuple[PipelineStats, PipelineStats]:
@@ -463,6 +476,7 @@ class GpuEngine:
         self._stored_textures: dict[str, Texture] = {}
         self._packed_textures: dict[tuple[str, ...], Texture] = {}
         self._layout_groups: dict[str, tuple[tuple[str, ...], int]] = {}
+        self._records_written = False
         if layout == "packed":
             names = relation.column_names
             for start in range(0, len(names), 4):
@@ -530,17 +544,9 @@ class GpuEngine:
             return self._packed_column_texture(name, column)
         texture = self._column_textures.get(name)
         if texture is None:
-            if column.is_integer:
-                # Stored (bias-encoded) values; the copy program's
-                # power-of-two scale keeps the depth mapping exact.
-                values = column.stored_values()
-            elif column.is_fixed_point:
-                # Raw quantized values; depth_scale folds in the
-                # fraction-bit shift.
-                values = column.values
-            else:
-                values = column.normalized_values()
-            texture = Texture.from_values(values, shape=self.shape)
+            texture = Texture.from_values(
+                _planar_values(column), shape=self.shape
+            )
             self._warm(texture)
             self._column_textures[name] = texture
         if column.is_integer or column.is_fixed_point:
@@ -623,11 +629,44 @@ class GpuEngine:
         (256 MB of video memory holds "more than 50 attributes",
         section 5.1); one-time AGP uploads are setup, not query cost.
         ``total_uploaded`` on the device's memory manager still records
-        them for out-of-core analyses.
+        them for out-of-core analyses.  Once :meth:`write_records` has
+        changed the relation its data is live, and a build is charged.
         """
         before = self.device.stats.bytes_uploaded
         self.device.bind_texture(0, texture)
-        self.device.stats.bytes_uploaded = before
+        if not self._records_written:
+            self.device.stats.bytes_uploaded = before
+
+    def write_records(
+        self, relation: Relation, spans: list[tuple[int, int]]
+    ) -> None:
+        """Adopt ``relation``, whose records changed in place over the
+        ``(start, count)`` spans — the sliding window's ring writes
+        (:mod:`repro.streams`).
+
+        Every resident attribute texture receives just the span texels
+        (``glTexSubImage2D``, charged as bus traffic, so an append
+        costs bandwidth proportional to the batch); texture generations
+        advance, so the depth and stencil caches drop outcomes computed
+        from the old contents.  Packed and fixed-point stored textures
+        interleave or rescale attributes: they are dropped, and the
+        next read rebuilds them with a charged full upload.
+        ``relation`` keeps the schema and fits this engine's textures;
+        its record count becomes every texture's valid ``count``.
+        """
+        if self.sharded is not None:
+            raise QueryError("write_records needs a single-device engine")
+        self.relation = relation
+        self._records_written = True
+        for name, texture in self._column_textures.items():
+            values = _planar_values(relation.column(name))
+            for start, count in spans:
+                self.device.upload_texels(
+                    texture, start, values[start:start + count]
+                )
+            texture.count = relation.num_records
+        self._stored_textures.clear()
+        self._packed_textures.clear()
 
     # -- plan cache ----------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from ..errors import QueryError
 from ..gpu.pipeline import Device
 from ..gpu.texture import Texture
 from .boolean import eval_cnf, eval_dnf
-from .compare import compare_pass, copy_to_depth
+from .compare import compare_pass
 from .polynomial import Polynomial, polynomial_pass
 from .predicates import (
     Between,
@@ -37,22 +37,14 @@ from .predicates import (
     to_cnf,
     to_dnf,
 )
-from .range_query import range_pass, range_select, setup_selection_stencil
+from .range_query import range_pass, setup_selection_stencil
 from .relation import Relation
 from .semilinear import semilinear_pass
 
 
 class TextureProvider(Protocol):
-    """What the selection executor needs from the engine.
-
-    Providers may additionally expose
-    ``ensure_depth(name) -> (texture, depth_scale, channel)`` — a
-    cache-aware copy-to-depth that skips the pass when the provider can
-    prove the attribute already sits in the depth buffer
-    (:meth:`repro.core.engine.GpuEngine.ensure_depth`).  Selection falls
-    back to an unconditional copy for minimal providers (e.g. the
-    streaming engine).
-    """
+    """What the selection executor needs from the engine
+    (:class:`repro.core.engine.GpuEngine` is the one provider)."""
 
     def column_texture(self, name: str) -> tuple[Texture, float, int]:
         """Return ``(texture, depth_scale, channel)`` for a column."""
@@ -60,18 +52,15 @@ class TextureProvider(Protocol):
     def packed_texture(self, names: tuple[str, ...]) -> Texture:
         """Return a texture with the named columns in its channels."""
 
+    def ensure_depth(self, name: str) -> tuple[Texture, float, int]:
+        """Copy ``name`` into the depth buffer unless the provider can
+        prove it already sits there; return what
+        :meth:`column_texture` returns."""
 
-def _route_to_depth(
-    device: Device, provider: TextureProvider, name: str
-) -> Texture:
-    """Put ``name``'s values into the depth buffer via the provider's
-    ``ensure_depth`` when it has one, else an unconditional copy."""
-    ensure = getattr(provider, "ensure_depth", None)
-    if ensure is not None:
-        texture, _scale, _channel = ensure(name)
-        return texture
-    texture, scale, channel = provider.column_texture(name)
-    copy_to_depth(device, texture, scale, channel=channel)
+
+def _route_to_depth(provider: TextureProvider, name: str) -> Texture:
+    """Put ``name``'s values into the depth buffer."""
+    texture, _scale, _channel = provider.ensure_depth(name)
     return texture
 
 
@@ -154,7 +143,7 @@ def _select_comparison(
     column = relation.column(predicate.column)
     depth = column.normalize(column.clamp_to_domain(predicate.value))
     setup_selection_stencil(device)
-    texture = _route_to_depth(device, provider, predicate.column)
+    texture = _route_to_depth(provider, predicate.column)
     query = device.begin_query()
     compare_pass(device, predicate.op, depth, texture.count)
     device.end_query()
@@ -170,15 +159,8 @@ def _select_between(
     column = relation.column(predicate.column)
     low = column.normalize(column.clamp_to_domain(predicate.low))
     high = column.normalize(column.clamp_to_domain(predicate.high))
-    if getattr(provider, "ensure_depth", None) is None:
-        texture, scale, channel = provider.column_texture(
-            predicate.column
-        )
-        return range_select(
-            device, texture, low, high, scale, channel=channel
-        )
     setup_selection_stencil(device)
-    texture = _route_to_depth(device, provider, predicate.column)
+    texture = _route_to_depth(provider, predicate.column)
     query = device.begin_query()
     range_pass(device, low, high, texture.count)
     device.end_query()
@@ -224,14 +206,14 @@ def _select_polynomial(
 class _SimpleExecutor:
     """``execute_simple`` callback for :func:`eval_cnf`.
 
-    Tracks which column currently occupies the depth buffer so that
-    consecutive predicates on the same attribute skip the copy pass.
+    Consecutive predicates on the same attribute share one copy pass
+    when the provider's plan cache (fusion on) proves the depth buffer
+    still holds it.
     """
 
     def __init__(self, relation: Relation, provider: TextureProvider):
         self.relation = relation
         self.provider = provider
-        self._depth_holds: str | None = None
 
     def __call__(
         self, device: Device, predicate: Predicate, query: bool
@@ -248,24 +230,11 @@ class _SimpleExecutor:
             f"CNF clause holds a non-simple predicate: {predicate!r}"
         )
 
-    def _ensure_in_depth(self, device: Device, name: str):
-        ensure = getattr(self.provider, "ensure_depth", None)
-        if ensure is not None:
-            # The provider's plan cache subsumes (and outlives) the
-            # per-operation sharing below.
-            texture, _scale, _channel = ensure(name)
-            return texture
-        texture, scale, channel = self.provider.column_texture(name)
-        if self._depth_holds != name:
-            copy_to_depth(device, texture, scale, channel=channel)
-            self._depth_holds = name
-        return texture
-
     def _comparison(
         self, device: Device, predicate: Comparison, query: bool
     ) -> int | None:
         column = self.relation.column(predicate.column)
-        texture = self._ensure_in_depth(device, predicate.column)
+        texture = _route_to_depth(self.provider, predicate.column)
         depth = column.normalize(column.clamp_to_domain(predicate.value))
         return self._counted(
             device,
@@ -277,7 +246,7 @@ class _SimpleExecutor:
         self, device: Device, predicate: Between, query: bool
     ) -> int | None:
         column = self.relation.column(predicate.column)
-        texture = self._ensure_in_depth(device, predicate.column)
+        texture = _route_to_depth(self.provider, predicate.column)
         low = column.normalize(column.clamp_to_domain(predicate.low))
         high = column.normalize(column.clamp_to_domain(predicate.high))
         return self._counted(

@@ -4,13 +4,15 @@ Section 7: "We also plan to ... perform continuous queries over streams
 using GPUs."  This module builds that on the reproduced primitives:
 
 * a **sliding window** of the most recent ``capacity`` records lives in
-  GPU textures, maintained as a ring — appending a batch overwrites the
-  oldest slots with one ``glTexSubImage2D``-style partial upload per
+  a host ring mirrored into GPU textures — appending a batch overwrites
+  the oldest slots with one ``glTexSubImage2D``-style partial upload per
   attribute (bandwidth proportional to the *batch*, not the window);
 * **registered continuous queries** (COUNT / selectivity / SUM / AVG /
   MIN / MAX / MEDIAN / k-th largest, each with an optional predicate)
-  are re-evaluated against the window after every append, using exactly
-  the rendering-pass machinery of :mod:`repro.core`;
+  are re-evaluated against the window after every append, through the
+  public operations of one :class:`~repro.core.engine.GpuEngine` over
+  the window (plan cache, JIT, debug verification and fault retry
+  included);
 * per-append results and simulated GPU cost come back together, so the
   sustainable stream rate on the FX 5900 can be estimated.
 
@@ -26,18 +28,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import aggregates
 from .core.column import Column
 from .core.cpu_engine import CpuEngine
-from .core.engine import split_copy_stats
+from .core.engine import GpuEngine
 from .core.predicates import Predicate
 from .core.relation import Relation
-from .core.select import execute_selection
-from .errors import DataError, QueryError
+from .errors import DataError, GpuError, QueryError
 from .faults import current_executor
 from .gpu.cost import GpuCostModel, GpuTime
-from .gpu.pipeline import Device
-from .gpu.texture import Texture, texture_shape_for
+from .gpu.counters import PipelineStats
 
 #: Supported continuous aggregate kinds.
 KINDS = (
@@ -127,7 +126,7 @@ class StreamEngine:
     ):
         """``executor`` attaches a
         :class:`~repro.faults.ResilientExecutor`: batch uploads and
-        per-query evaluations retry transient GPU faults, and a query
+        every engine operation retry transient GPU faults, and a query
         whose GPU evaluation still fails is recomputed host-side from
         the window — the tick degrades *per query*
         (:attr:`StreamTick.degraded`) instead of dying.  Defaults to
@@ -152,22 +151,25 @@ class StreamEngine:
 
         self.capacity = capacity
         self.schema = {column.name: column for column in columns}
-        self.shape = texture_shape_for(capacity)
-        self.device = Device(*self.shape)
-        self.cost_model = cost_model or GpuCostModel()
         self.executor = (
             executor if executor is not None else current_executor()
         )
         self.total_appended = 0
         self._queries: dict[str, ContinuousQuery] = {}
-        self._textures: dict[str, Texture] = {}
-        self._packed: dict[tuple[str, ...], Texture] = {}
-        for column in columns:
-            texture = Texture.from_values(
-                np.zeros(capacity, dtype=np.float32), shape=self.shape
-            )
-            self.device.bind_texture(0, texture)  # make resident
-            self._textures[column.name] = texture
+        self._ring = {
+            name: np.zeros(capacity, dtype=np.float32)
+            for name in self.schema
+        }
+        # Sized for the full ring; every attribute texture is resident
+        # from the start, so each append uploads every attribute's batch.
+        self.engine = GpuEngine(
+            self._window(capacity), cost_model=cost_model,
+            executor=self.executor, shards=1,
+        )
+        for name in self.schema:
+            self.engine.column_texture(name)
+        self.device = self.engine.device
+        self.cost_model = self.engine.cost_model
 
     # -- schema / window state -------------------------------------------------
 
@@ -179,20 +181,27 @@ class StreamEngine:
     def column_names(self) -> list[str]:
         return list(self.schema)
 
+    def _window(self, size: int) -> Relation:
+        """The first ``size`` ring slots as a relation of views (no
+        copy)."""
+        return Relation("window", [
+            Column(
+                name, self._ring[name][:size], is_integer=True,
+                bits=meta.bits, lo=0.0, hi=float(1 << meta.bits),
+            )
+            for name, meta in self.schema.items()
+        ])
+
     def window_relation(self) -> Relation:
         """The current window as a host-side relation (verification,
         ad-hoc queries)."""
         if self.window_size == 0:
             raise QueryError("the stream window is empty")
-        columns = []
-        for name, meta in self.schema.items():
-            values = self._textures[name].linear_view()[
-                : self.window_size, 0
-            ]
-            columns.append(
-                Column.integer(name, values.copy(), bits=meta.bits)
-            )
-        return Relation("window", columns)
+        # Column.integer copies the views (its astype always does).
+        return Relation("window", [
+            Column.integer(column.name, column.values, bits=column.bits)
+            for column in self._window(self.window_size).columns()
+        ])
 
     # -- continuous queries ------------------------------------------------------
 
@@ -233,6 +242,9 @@ class StreamEngine:
         Batches larger than the window keep only their newest
         ``capacity`` records (the older ones would be evicted within
         the same tick anyway).
+
+        Afterwards ``device.stats`` holds the whole tick: the upload
+        window followed by every engine operation's passes.
         """
         arrays = self._validate_batch(batch)
         size = arrays[self.column_names[0]].shape[0]
@@ -250,17 +262,14 @@ class StreamEngine:
                     tracer=self.device.tracer,
                 )
             self.total_appended += size
-        results, degraded = self._evaluate()
-        window = self.device.stats.snapshot()
-        copy, compute = split_copy_stats(window)
-        gpu_time = self.cost_model.time(copy) + self.cost_model.time(
-            compute
-        )
+        windows = [self.device.stats.snapshot()]
+        results, degraded = self._evaluate(windows)
+        self.device.stats = PipelineStats.merged(windows)
         return StreamTick(
             window_size=self.window_size,
             total_appended=self.total_appended,
             results=results,
-            gpu_time=gpu_time,
+            gpu_time=self.cost_model.time(self.device.stats),
             degraded=degraded,
         )
 
@@ -296,115 +305,74 @@ class StreamEngine:
         return arrays
 
     def _write_ring(self, arrays: dict[str, np.ndarray], size: int):
-        """Scatter the batch into ring slots with at most two partial
-        uploads per attribute."""
+        """Scatter the batch into ring slots: at most two spans, each
+        one partial upload per attribute."""
         start = self.total_appended % self.capacity
         first = min(size, self.capacity - start)
+        spans = [(start, first)]
+        if first < size:
+            spans.append((0, size - first))
         for name, values in arrays.items():
-            texture = self._textures[name]
-            self.device.upload_texels(texture, start, values[:first])
-            if first < size:
-                self.device.upload_texels(
-                    texture, 0, values[first:]
-                )
-        self._packed.clear()  # packed layouts are rebuilt lazily
+            self._ring[name][start:start + first] = values[:first]
+            self._ring[name][:size - first] = values[first:]
+        self.engine.write_records(
+            self._window(min(self.total_appended + size, self.capacity)),
+            spans,
+        )
 
     # -- evaluation --------------------------------------------------------------------
 
-    def column_texture(self, name: str) -> tuple[Texture, float, int]:
-        """TextureProvider protocol (window-sized view)."""
-        meta = self.schema[name]
-        texture = self._textures[name]
-        texture.count = self.window_size
-        return texture, 1.0 / (1 << meta.bits), 0
-
-    def packed_texture(self, names: tuple[str, ...]) -> Texture:
-        """TextureProvider protocol: RGBA pack for semi-linear and
-        polynomial predicates, rebuilt after ring writes."""
-        names = tuple(names)
-        texture = self._packed.get(names)
-        if texture is None:
-            columns = [
-                self._textures[name].linear_view()[:, 0].copy()
-                for name in names
-            ]
-            num_texels = self.shape[0] * self.shape[1]
-            while len(columns) < 4:
-                columns.append(np.zeros(num_texels, dtype=np.float32))
-            texture = Texture.from_columns(columns, shape=self.shape)
-            # Honest accounting: refreshing the packed layout after a
-            # ring write re-uploads it.
-            self.device.bind_texture(0, texture)
-            self._packed[names] = texture
-        texture.count = self.window_size
-        return texture
-
-    def _evaluate(self) -> tuple[dict, dict]:
+    def _evaluate(self, windows: list[PipelineStats]) -> tuple[dict, dict]:
+        """Every query's answer; each GPU operation's stats window is
+        appended to ``windows``."""
         results: dict = {}
         degraded: dict = {}
         if self.window_size == 0:
             return {name: None for name in self._queries}, degraded
-        relation = self.window_relation()
         for name, query in self._queries.items():
-            if self.executor is None:
-                results[name] = self._evaluate_one(query, relation)
-                continue
-
-            def attempt(q=query):
-                # Start every attempt from clean device state — a
-                # fault can leave a dangling occlusion query behind.
-                self.device.abort_query()
-                return self._evaluate_one(q, relation)
-
-            # Degrade this query alone: recompute host-side from the
-            # window copy; the other queries proceed on GPU.
-            results[name], error = self.executor.run_with_fallback(
-                attempt,
-                lambda q=query: self._evaluate_one_host(q, relation),
-                op=f"stream:{name}",
-                tracer=self.device.tracer,
-            )
-            if error is not None:
+            try:
+                results[name] = self._evaluate_one(query, windows)
+            except GpuError as error:
+                if self.executor is None:
+                    raise
+                # Engine operations already retried; degrade this query
+                # alone, the other queries proceed on the GPU.
+                results[name] = self.executor.degrade(
+                    error,
+                    lambda q=query: self._evaluate_one_host(q),
+                    op=f"stream:{name}",
+                    tracer=self.device.tracer,
+                )
                 degraded[name] = f"{type(error).__name__}: {error}"
         return results, degraded
 
-    def _evaluate_one(self, query: ContinuousQuery, relation: Relation):
-        device = self.device
-        valid = None
+    def _evaluate_one(
+        self, query: ContinuousQuery, windows: list[PipelineStats]
+    ):
+        """One query through the engine's public operations.  The
+        aggregate reuses the selection's stencil mask (and depth copy)
+        through the plan cache."""
+        engine = self.engine
         valid_count = self.window_size
         if query.predicate is not None:
-            outcome = execute_selection(
-                device, relation, self, query.predicate
-            )
-            valid = outcome.valid_stencil
-            valid_count = outcome.count
+            selection = engine.select(query.predicate)
+            windows.append(selection.stats)
+            valid_count = selection.count
 
         def aggregate():
-            meta = self.schema[query.column]
-            texture, scale, channel = self.column_texture(query.column)
-            if query.kind in ("sum", "average"):
-                total = aggregates.accumulate(
-                    device, texture, meta.bits,
-                    channel=channel, valid_stencil=valid,
-                )
-                return total if query.kind == "sum" else total / valid_count
-            (rank,) = aggregates.order_targets(
-                query.kind, valid_count, k=query.k
+            result = engine.aggregate(
+                query.kind, query.column, query.predicate, k=query.k
             )
-            return aggregates.kth_largest(
-                device, texture, meta.bits, rank, scale,
-                channel=channel, valid_stencil=valid,
-            )
+            windows.append(result.stats)
+            return result.value
 
         return self._answer(query, valid_count, aggregate)
 
-    def _evaluate_one_host(
-        self, query: ContinuousQuery, relation: Relation
-    ):
+    def _evaluate_one_host(self, query: ContinuousQuery):
         """A degraded query: the same answer from
-        :class:`~repro.core.cpu_engine.CpuEngine` over the window
+        :class:`~repro.core.cpu_engine.CpuEngine` over a window
         copy."""
-        cpu = CpuEngine(relation)
+        cpu = CpuEngine(self.window_relation())
         cpu.tracer = None  # the ctor falls back to the process tracer
         return self._answer(
             query,

@@ -33,6 +33,10 @@ class TestRawDevice:
         codes = _codes(self.BAD, path="src/repro/sql/helper.py")
         assert codes.count("L201") == 2
 
+    def test_streams_module_is_engine_only(self):
+        codes = _codes(self.BAD, path="src/repro/streams.py")
+        assert codes.count("L201") == 2
+
     def test_device_attribute_calls_flagged(self):
         source = """
             def probe(engine):

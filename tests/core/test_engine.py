@@ -5,8 +5,10 @@ import pytest
 
 from repro.core import Column, GpuEngine, Relation, col
 from repro.core.engine import split_copy_stats
+from repro.core.predicates import SemiLinear
 from repro.errors import QueryError
 from repro.gpu import GpuCostModel
+from repro.gpu.types import CompareFunc
 
 
 class TestSelect:
@@ -209,3 +211,64 @@ class TestTextureCaching:
         assert engine.select(col("x") >= 0.0).count == 3
         assert engine.select(col("x") < -5.0).count == 1
         assert engine.select(col("x").between(-5.0, 5.0)).count == 3
+
+
+class TestWriteRecords:
+    """``write_records``: an engine whose relation changed over some
+    record spans answers what a fresh engine over the new records
+    answers, for every kind of resident texture."""
+
+    SEMILINEAR = SemiLinear(("a", "b"), (1.0, -1.0), CompareFunc.GEQUAL, 0.0)
+
+    @staticmethod
+    def _relation(a, b, c):
+        return Relation("t", [
+            Column.integer("a", a, bits=8),
+            Column.integer("b", b, bits=8),
+            Column.fixed_point("c", c, 2, bits=10),
+        ])
+
+    def _answers(self, engine):
+        """Reads planar, packed-layout, semi-linear and fixed-point
+        stored textures."""
+        return (
+            engine.count(col("a") >= 100).value,
+            engine.median("a", col("b") < 128).value,
+            engine.count(self.SEMILINEAR).value,
+            engine.sum("c").value,
+            engine.maximum("c", col("a") > 50).value,
+        )
+
+    @pytest.mark.parametrize("layout", ["planar", "packed"])
+    def test_matches_a_fresh_engine(self, layout):
+        rng = np.random.default_rng(7)
+
+        def draw(n):
+            return (
+                rng.integers(0, 256, n), rng.integers(0, 256, n),
+                rng.integers(0, 1024, n) / 4.0,
+            )
+
+        engine = GpuEngine(self._relation(*draw(100)), layout=layout)
+        self._answers(engine)  # every texture kind is now resident
+        a, b, c = draw(60)
+        shrunk = self._relation(a, b, c)
+        engine.write_records(shrunk, [(0, 60)])
+        assert self._answers(engine) == self._answers(
+            GpuEngine(shrunk, layout=layout)
+        )
+        a[10:25], b[10:25], c[10:25] = draw(15)
+        partial = self._relation(a, b, c)
+        engine.write_records(partial, [(10, 15)])
+        assert self._answers(engine) == self._answers(
+            GpuEngine(partial, layout=layout)
+        )
+
+    def test_charges_the_spans_of_each_planar_texture(self):
+        relation = self._relation(np.arange(50), np.arange(50), np.zeros(50))
+        engine = GpuEngine(relation)
+        engine.column_texture("a")
+        engine.column_texture("b")
+        engine.device.stats.reset()
+        engine.write_records(relation, [(40, 10), (0, 5)])
+        assert engine.device.stats.bytes_uploaded == 2 * 15 * 4
