@@ -32,6 +32,12 @@ Two cache layers:
   replay a stale compiled kernel — the changed generation or bytes
   miss the cache and force a fresh bind.
 
+Under them, two memos that hold no float output of a program: the
+cache's texel runs, which make aligned ``TEX`` fetches read-only views
+of the texture (:func:`_make_tex`), and each pure kernel's stage memo of
+the depth codes and alpha-test outcomes the pipeline derives from its
+outputs (:meth:`BoundKernel.derived`).
+
 **Cost-model fidelity:** liveness changes wall-clock work only.
 ``instructions_executed`` still charges the *full* program length for
 every fragment, exactly like the interpreter (the simulated hardware
@@ -60,7 +66,7 @@ from .isa import (
     SourceOperand,
 )
 from .state import RenderState
-from .texture import Texture
+from .texture import Texture, texel_run
 
 #: Which ``o[COLR]`` components (x, y, z, w) some stage observes.
 LiveMask = tuple[bool, bool, bool, bool]
@@ -93,8 +99,17 @@ _COLOR_SLOT = NUM_TEMPORARIES
 #: The depth the pipeline reads from ``o[DEPR]`` (NV_fragment_program).
 _DEPTH_COMPONENT = 2
 
-#: Cap on the shared TEX-fetch memo (see :func:`_make_tex`).
+#: Cap on the shared texel-run memo (see :func:`_make_tex`).
 _TEX_MEMO_CAP = 64
+
+#: Cap on one kernel's stage memo entries (see :meth:`BoundKernel.derived`):
+#: a geometry token per quad rect times the stage inputs derived there.
+_STAGE_MEMO_CAP = 4
+
+#: Bytes of stage memos a :class:`KernelCache` keeps across its kernels
+#: before it drops the least recently used kernels' memos (16 depth-code
+#: images or 64 alpha outcomes at 2^20 fragments).
+_STAGE_MEMO_BUDGET = 64 << 20
 
 _ZERO = np.zeros((), dtype=np.float32)
 _ZERO.setflags(write=False)
@@ -206,6 +221,7 @@ class CompiledProgram:
         "uses_kil",
         "texture_units",
         "param_indices",
+        "pure",
     )
 
     def __init__(self, program: FragmentProgram, live: LiveMask):
@@ -230,6 +246,16 @@ class CompiledProgram:
                 if src.file is RegisterFile.PARAMETER:
                     params.add(src.index)
         self.param_indices = tuple(sorted(params))
+        #: The kept instructions read no fragment attribute but texture
+        #: coordinates, and no live component passes ``f[COL0]``
+        #: through: the outputs are a function of the kernel key and
+        #: the quad geometry alone.
+        self.pure = (self.writes_color or not any(live)) and all(
+            src.attrib in _GEOMETRY_ATTRIBS
+            for instruction in self.instructions
+            for src in instruction.sources
+            if src.file is RegisterFile.FRAGMENT
+        )
 
     def describe(self) -> str:
         """One-line kernel summary for explain output, naming the
@@ -495,14 +521,16 @@ def _make_dot(instruction, needed, parameters):
 def _make_tex(kernel, instruction, needed, textures, parameters):
     """``TEX``: nearest-neighbour fetch of the live texel components.
 
-    Texture coordinates are a pure function of quad geometry, so each
-    fetched component is memoized per (texture id, texture generation,
-    coordinate operand, geometry, component).  The memo lives on the
-    KernelCache — shared across bindings and programs, so a parameter
-    change (which rotates the kernel key every bit-search pass) and a
-    copy-to-depth of the texture a TestBit pass reads reuse one
-    gather — and the texture generation in the key makes a stale texel
-    replay impossible.
+    Texture coordinates are a pure function of quad geometry, so the
+    texels a geometry samples are memoized per (coordinate operand,
+    geometry token, texture shape) when they form one contiguous run —
+    as every quad aligned one-to-one with its texture does.  The memo
+    holds a :func:`~repro.gpu.texture.texel_run` slice, not texels: the
+    fetch is a read-only view of the texture, so it owns no bytes and
+    always reads the current texels.  It lives on the KernelCache, so
+    the bit search's per-pass parameter rebinds, and every program and
+    texture of one shape, share one index computation.  Any other index
+    set (a sub-rect narrower than its texture) is gathered per pass.
     """
     src = instruction.sources[0]
     swizzle = src.swizzle.components
@@ -514,29 +542,22 @@ def _make_tex(kernel, instruction, needed, textures, parameters):
         and src.attrib in _GEOMETRY_ATTRIBS
     )
     memo = kernel.tex_memo
-    prefix = (texture.id, texture.generation, src)
-
-    def texel_indices(env):
-        return texture.nearest_indices(read_s(env), read_t(env))
+    prefix = (src, texture.height, texture.width)
 
     def compute(env):
         token = env.batch.geometry_token if memoizable else None
-        lanes = []
-        indices = None
-        for d in needed:
-            key = prefix + (token, d)
-            value = memo.get(key) if token is not None else None
-            if value is None:
-                if indices is None:
-                    indices = texel_indices(env)
-                value = texture.fetch_component(indices, d)
-                if token is not None:
-                    if len(memo) >= _TEX_MEMO_CAP:
-                        memo.clear()
-                    value.setflags(write=False)
-                    memo[key] = value
-            lanes.append(((d,), value))
-        return lanes
+        key = prefix + (token,)
+        texels = memo.get(key) if token is not None else None
+        if texels is None:
+            indices = texture.nearest_indices(read_s(env), read_t(env))
+            texels = texel_run(indices)
+            if texels is None:
+                texels = indices
+            elif token is not None:
+                if len(memo) >= _TEX_MEMO_CAP:
+                    memo.clear()
+                memo[key] = texels
+        return [((d,), texture.fetch_component(texels, d)) for d in needed]
 
     return compute
 
@@ -617,10 +638,23 @@ class BoundKernel:
         _validate(compiled, textures)
         self.compiled = compiled
         self.name = compiled.name
-        #: Memoized TEX fetch columns (usually the owning KernelCache's
-        #: shared dict) keyed ``(texture id, texture generation,
-        #: coordinate operand, geometry token, component)``.
+        #: Memoized texel runs (usually the owning KernelCache's shared
+        #: dict) keyed ``(coordinate operand, texture height, texture
+        #: width, geometry token)``; see ``_make_tex``.
         self.tex_memo: dict = tex_memo if tex_memo is not None else {}
+        #: The sampled textures and their generations at bind time.
+        self._sampled = tuple(
+            (textures[unit], textures[unit].generation)
+            for unit in compiled.texture_units
+        )
+        #: Stage inputs derived from a pure kernel's outputs, keyed
+        #: ``(geometry token, kind)``; None when the kernel is impure or
+        #: has a ``KIL`` (see :meth:`derived`).
+        self._stage_memo: dict | None = (
+            {} if compiled.pure and not compiled.uses_kil else None
+        )
+        #: Bytes the stage memo holds.
+        self.memo_bytes = 0
         self._writes_color = compiled.writes_color
         self._uses_kil = compiled.uses_kil
         self._num_instructions = compiled.num_instructions
@@ -630,6 +664,53 @@ class BoundKernel:
                 compiled.instructions, compiled.needed
             )
         ]
+
+    @property
+    def stale(self) -> bool:
+        """True once a sampled texture's texels changed since binding:
+        the cache key can never match this kernel again."""
+        for texture, generation in self._sampled:
+            if texture.generation != generation:
+                return True
+        return False
+
+    def memoizes(self, batch: FragmentBatch) -> bool:
+        """True when :meth:`derived` memoizes over ``batch``: the kernel
+        is pure, has no ``KIL``, and the batch comes from quad
+        geometry."""
+        return (
+            self._stage_memo is not None
+            and batch.geometry_token is not None
+        )
+
+    def derived(self, batch: FragmentBatch, kind, derive):
+        """``derive()`` — an array a fixed-function stage computes from
+        this kernel's outputs over ``batch``, such as the ``uint32``
+        depth codes or the ``bool`` alpha-test outcome named by
+        ``kind`` — memoized read-only per geometry token.
+
+        The kernel key fixes the program, live mask, texels and
+        parameters, and a pure kernel reads nothing else but the quad
+        geometry, so the value repeats for every pass over the same
+        rect.  Requires :meth:`memoizes`.
+        """
+        memo = self._stage_memo
+        key = (batch.geometry_token, kind)
+        value = memo.get(key)
+        if value is None:
+            value = derive()
+            value.setflags(write=False)
+            if len(memo) >= _STAGE_MEMO_CAP:
+                self.drop_memo()
+            memo[key] = value
+            self.memo_bytes += value.nbytes
+        return value
+
+    def drop_memo(self) -> None:
+        """Forget every memoized stage input."""
+        if self._stage_memo:
+            self._stage_memo.clear()
+        self.memo_bytes = 0
 
     def run(self, batch: FragmentBatch) -> ProgramResult:
         env = _Env(batch, self._uses_kil)
@@ -670,7 +751,7 @@ class KernelCache:
     def __init__(self, capacity: int = 64):
         self.capacity = capacity
         self._kernels: OrderedDict = OrderedDict()
-        #: Shared geometry-keyed TEX-fetch memo (see ``_make_tex``).
+        #: Shared geometry-keyed texel-run memo (see ``_make_tex``).
         self.tex_memo: dict = {}
         self.hits = 0
         self.misses = 0
@@ -717,8 +798,7 @@ class KernelCache:
             self._kernels.move_to_end(key)
             return kernel
         self.misses += 1
-        if len(self.tex_memo) >= _TEX_MEMO_CAP:
-            self.tex_memo.clear()
+        self._drop_stale()
         kernel = BoundKernel(
             compile_program(program, live),
             dict(textures),
@@ -730,6 +810,24 @@ class KernelCache:
             self._kernels.popitem(last=False)
             self.evictions += 1
         return kernel
+
+    @property
+    def memo_bytes(self) -> int:
+        """Bytes the kernels' stage memos hold."""
+        return sum(kernel.memo_bytes for kernel in self._kernels.values())
+
+    def _drop_stale(self) -> None:
+        """Drop kernels bound over texels that have since changed — no
+        key can match them again — and, oldest first, the stage memos
+        that take the rest past ``_STAGE_MEMO_BUDGET``."""
+        for key in [k for k, v in self._kernels.items() if v.stale]:
+            del self._kernels[key]
+        excess = self.memo_bytes - _STAGE_MEMO_BUDGET
+        for kernel in self._kernels.values():
+            if excess <= 0:
+                break
+            excess -= kernel.memo_bytes
+            kernel.drop_memo()
 
     def clear(self) -> None:
         self._kernels.clear()

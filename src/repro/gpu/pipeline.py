@@ -34,8 +34,14 @@ from ..faults import SITE_PASS, SITE_READBACK, check_deadline, maybe_inject
 from .assembler import FragmentProgram
 from .counters import PassStats, PipelineStats
 from .framebuffer import FrameBuffer, depth_to_code
-from .interpreter import FragmentAttrib, ProgramInterpreter, color_columns
-from .jit import KernelCache, live_color
+from .interpreter import (
+    FragmentAttrib,
+    FragmentBatch,
+    ProgramInterpreter,
+    ProgramResult,
+    color_columns,
+)
+from .jit import BoundKernel, KernelCache, live_color
 from .isa import NUM_PARAMETERS, NUM_TEXTURE_UNITS
 from .memory import VideoMemory
 from .occlusion import OcclusionQuery
@@ -81,6 +87,49 @@ def _survivors(
     alive = passing if alive is None else alive & passing
     live = int(np.count_nonzero(alive))
     return (None if live == total else alive), live
+
+
+class _FragmentOutputs:
+    """Stage 1's outputs over one rect, for the stages that read them.
+
+    ``result`` is the program's :class:`ProgramResult`.  A kernel that
+    memoizes (:meth:`~repro.gpu.jit.BoundKernel.memoizes`) runs only
+    when a stage reads it: :meth:`derive` serves the depth codes and
+    the alpha-test outcome from the kernel's stage memo, so a pass over
+    unchanged texels whose stages read nothing else — a repeated
+    copy-to-depth or ``TestBit`` pass — runs no program at all.
+    """
+
+    __slots__ = ("_kernel", "_batch", "_result")
+
+    def __init__(
+        self,
+        result: ProgramResult | None,
+        kernel: BoundKernel | None = None,
+        batch: FragmentBatch | None = None,
+    ):
+        self._result = result
+        self._kernel = kernel
+        self._batch = batch
+
+    @property
+    def memoized(self) -> bool:
+        return self._kernel is not None
+
+    @property
+    def result(self) -> ProgramResult:
+        if self._result is None:
+            self._result = self._kernel.run(self._batch)
+        return self._result
+
+    def derive(self, kind, derive):
+        """``derive(result)``: through the kernel's stage memo under
+        ``kind`` when it memoizes, else computed."""
+        if self._kernel is None:
+            return derive(self.result)
+        return self._kernel.derived(
+            self._batch, kind, lambda: derive(self.result)
+        )
 
 
 class Device:
@@ -432,43 +481,57 @@ class Device:
         total = batch.count
         alive = None
         live = total
-        frag_depth = None
-        if self._program is not None:
-            if self.jit:
-                # The color components a later stage observes pick the
-                # compiled variant (everything else is dead code).
-                kernel = self.kernels.get_or_bind(
-                    self._program,
-                    live_color(state),
-                    self._textures,
-                    self._parameters,
+        program = self._program
+        if program is None:
+            outputs = _FragmentOutputs(
+                ProgramResult(
+                    color=color_columns(batch.attribute(FragmentAttrib.COL0)),
+                    depth=None,
+                    killed=None,
+                    instructions_executed=0,
                 )
-                result = kernel.run(batch)
+            )
+        elif self.jit:
+            # The color components a later stage observes pick the
+            # compiled variant (everything else is dead code).
+            kernel = self.kernels.get_or_bind(
+                program,
+                live_color(state),
+                self._textures,
+                self._parameters,
+            )
+            if kernel.memoizes(batch):
+                outputs = _FragmentOutputs(None, kernel, batch)
             else:
-                interpreter = ProgramInterpreter(
-                    self._textures, self._parameters
-                )
-                result = interpreter.run(self._program, batch)
-            frag_color = result.color
-            frag_depth = result.depth
-            if result.killed is not None:
-                killed = int(np.count_nonzero(result.killed))
+                outputs = _FragmentOutputs(kernel.run(batch))
+        else:
+            interpreter = ProgramInterpreter(
+                self._textures, self._parameters
+            )
+            outputs = _FragmentOutputs(interpreter.run(program, batch))
+        if program is not None:
+            # A memoizing kernel has no KIL.
+            killed_mask = None if outputs.memoized else outputs.result.killed
+            if killed_mask is not None:
+                killed = int(np.count_nonzero(killed_mask))
                 if killed:
-                    alive = ~result.killed.reshape(shape)
+                    alive = ~killed_mask.reshape(shape)
                     live = total - killed
                 stats.killed += killed
-            stats.program = self._program.name
-            stats.program_length = self._program.num_instructions
-            stats.instructions_executed += result.instructions_executed
-            stats.writes_depth_from_program = self._program.writes_depth
-        else:
-            frag_color = color_columns(batch.attribute(FragmentAttrib.COL0))
+            stats.program = program.name
+            stats.program_length = program.num_instructions
+            stats.instructions_executed += program.num_instructions * total
+            stats.writes_depth_from_program = program.writes_depth
 
         # Stage 2: alpha test.
         alpha = state.alpha
         if alpha.enabled and alpha.func is not CompareFunc.ALWAYS:
-            alpha_pass = alpha.func.apply(
-                frag_color[3].reshape(shape), np.float32(alpha.reference)
+            reference = np.float32(alpha.reference)
+            alpha_pass = outputs.derive(
+                (alpha.func, reference),
+                lambda result: alpha.func.apply(
+                    result.color[3].reshape(shape), reference
+                ),
             )
             before = live
             alive, live = _survivors(alive, alpha_pass, total)
@@ -512,19 +575,26 @@ class Device:
         # Stage 5: depth test.  Without a program-written depth every
         # fragment carries the quad depth (the float32 WPOS.z), so it
         # is quantized once.  A program-written depth is quantized only
-        # when something reads the codes: the comparison, or a write
-        # that lands on some fragments only.  A write that lands on
-        # every fragment quantizes straight into the buffer.
+        # when something reads the codes: the comparison, a write that
+        # lands on some fragments only, or a memoizing kernel's stage
+        # memo.  Any other write that lands on every fragment quantizes
+        # straight into the buffer.
         early_z_survivors: int | None = None
         if state.depth.enabled:
             compare = state.depth.func is not CompareFunc.ALWAYS
             frag_codes = None
-            if frag_depth is None:
+            if program is None or not program.writes_depth:
                 frag_codes = depth_to_code(np.float32(depth))
-            else:
-                frag_depth = frag_depth.reshape(shape)
-                if compare or (state.depth.write and alive is not None):
-                    frag_codes = depth_to_code(frag_depth)
+            elif compare or (
+                state.depth.write
+                and (alive is not None or outputs.memoized)
+            ):
+                frag_codes = outputs.derive(
+                    "depth",
+                    lambda result: depth_to_code(
+                        result.depth.reshape(shape)
+                    ),
+                )
             if compare:
                 depth_pass = state.depth.func.swap().apply(
                     region.depth, frag_codes
@@ -555,7 +625,10 @@ class Device:
             if state.depth.write:
                 if live:
                     if frag_codes is None:
-                        depth_to_code(frag_depth, out=region.depth)
+                        depth_to_code(
+                            outputs.result.depth.reshape(shape),
+                            out=region.depth,
+                        )
                     else:
                         masked_write(region.depth, frag_codes, alive)
                     self.depth_generation += 1
@@ -570,6 +643,7 @@ class Device:
         if self._active_query is not None and self._active_query.active:
             self._active_query._add(live)
         if live and any(state.color_mask):
+            frag_color = outputs.result.color
             for channel, enabled in enumerate(state.color_mask):
                 if enabled:
                     masked_write(

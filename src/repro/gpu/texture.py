@@ -46,6 +46,26 @@ def _nearest(coord: np.ndarray, size: int) -> np.ndarray:
     return np.minimum(np.fmax(texel, 0), size - 1).astype(np.int64)
 
 
+def texel_run(texel_indices: np.ndarray) -> slice | None:
+    """The slice of linear texel indices ``texel_indices`` when they
+    form one ascending contiguous run, else None.
+
+    A quad aligned one-to-one with its texture (the paper's section 3.3
+    setup) covering whole texture rows, or one partial row, samples
+    such a run; :meth:`Texture.fetch_component` then returns a view of
+    the texels instead of a gather.
+    """
+    count = texel_indices.shape[0]
+    if count == 0:
+        return None
+    start = int(texel_indices[0])
+    if int(texel_indices[-1]) != start + count - 1 or not np.array_equal(
+        texel_indices, np.arange(start, start + count)
+    ):
+        return None
+    return slice(start, start + count)
+
+
 def texture_shape_for(count: int) -> tuple[int, int]:
     """Pick a (height, width) able to hold ``count`` texels.
 
@@ -269,11 +289,16 @@ class Texture:
         return out
 
     def fetch_component(
-        self, texel_indices: np.ndarray, component: int
+        self, texel_indices: np.ndarray | slice, component: int
     ) -> np.ndarray:
-        """Component ``component`` (0-3) of :meth:`fetch`: one gathered
+        """Component ``component`` (0-3) of :meth:`fetch`: one read-only
         ``(n,)`` column, with the same fill convention for channels the
-        texture lacks."""
+        texture lacks.
+
+        ``texel_indices`` is an index array (a gather) or a
+        :func:`texel_run` slice, which returns a view of the texels
+        instead of a copy.
+        """
         channels = self.channels
         if channels == 1:
             source = 0 if component < 3 else None
@@ -281,10 +306,17 @@ class Texture:
             source = {0: 0, 3: 1}.get(component)
         else:
             source = component if component < channels else None
-        if source is not None:
-            return self.linear_view()[texel_indices, source]
-        fill = 0.0 if channels == 2 else 1.0
-        return np.full(texel_indices.shape[0], fill, dtype=np.float32)
+        if source is None:
+            fill = 0.0 if channels == 2 else 1.0
+            if isinstance(texel_indices, slice):
+                count = texel_indices.stop - texel_indices.start
+            else:
+                count = texel_indices.shape[0]
+            column = np.full(count, fill, dtype=np.float32)
+        else:
+            column = self.linear_view()[texel_indices, source]
+        column.setflags(write=False)
+        return column
 
     def write_texels(self, start: int, values: np.ndarray) -> int:
         """Overwrite a contiguous texel range (row-major from ``start``).

@@ -432,19 +432,35 @@ class TestKernelCache:
 
 class TestStaleKernelChaos:
     def test_fault_retry_after_texel_update_sees_new_values(self):
-        """Chaos regression for satellite 3: update texels, then run an
-        op whose first attempts die with injected faults.  The retried
-        attempt must bind a kernel over the *new* texture generation,
-        never replay the pre-update kernel."""
+        """Chaos regression for satellite 3: warm the kernel cache and
+        the kernels' stage memos, update texels, then run ops whose
+        first attempts die with injected faults.  The retried attempts
+        must bind kernels over the *new* texture generation, never
+        replay a pre-update kernel or what its memo derived."""
         relation = make_tcpip(600, seed=9)
         executor = ResilientExecutor(
             RetryPolicy(max_attempts=4, base_delay_s=0.0)
         )
         engine = GpuEngine(relation, executor=executor, jit=True)
+        ops = [
+            lambda e: e.median("data_count").value,
+            lambda e: e.sum("retransmissions").value,
+            lambda e: e.sum("data_loss").value,
+        ]
+        # Warm the kernel cache and, on the second round, the memos
+        # (copy-to-depth codes, TestBit alpha outcomes) with the
+        # original texture contents.
         baseline = GpuEngine(relation, jit=False)
-        # Warm the kernel cache with the original texture contents.
-        assert engine.median("data_count").value == \
-            baseline.median("data_count").value
+        before = [op(baseline) for op in ops]
+        for _ in range(2):
+            assert [op(engine) for op in ops] == before
+        assert engine.device.kernels.memo_bytes > 0
+        for name in ("data_count", "retransmissions", "data_loss"):
+            values = relation.column(name).values
+            values[:300] = values[300:600]
+        engine.write_records(relation, [(0, 300)])
+        expected = [op(GpuEngine(relation, jit=False)) for op in ops]
+        assert expected != before
         # Now inject faults; every retry must recompute from current
         # state and still agree with the interpreter baseline.
         plan = FaultPlan([
@@ -455,8 +471,8 @@ class TestStaleKernelChaos:
             ),
         ])
         with use_faults(plan):
-            faulted = engine.median("flow_rate").value
-        assert faulted == baseline.median("flow_rate").value
+            faulted = [op(engine) for op in ops]
+        assert faulted == expected
 
     def test_jit_cache_stats_exposed(self):
         relation = make_tcpip(400, seed=3)

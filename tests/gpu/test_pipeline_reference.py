@@ -270,7 +270,23 @@ def _scenarios(draw):
     }
 
 
-def _run(device_class, scenario):
+#: What changes before a pass is repeated: nothing, the alpha test,
+#: the program parameter, or the texels (a ``glTexSubImage2D``).
+_changes = st.lists(
+    st.one_of(
+        st.just(("same",)),
+        st.tuples(st.just("alpha"), _funcs, st.floats(0.0, 1.0)),
+        st.tuples(
+            st.just("param"), st.sampled_from([1 / 2, 1 / 8, 1 / 64])
+        ),
+        st.tuples(st.just("upload"), st.integers(0, 2**32 - 1)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _run(device_class, scenario, changes=()):
     height, width = scenario["height"], scenario["width"]
     device = device_class(height, width, jit=scenario["jit"])
     rng = np.random.default_rng(scenario["seed"])
@@ -320,18 +336,30 @@ def _run(device_class, scenario):
     state.color_mask = scenario["color_mask"]
 
     program = _PROGRAMS[scenario["program"]]
+    texture = None
     if program is not None:
         factory, scale = program
         values = rng.integers(0, 1 << _BITS, (height, width))
-        device.bind_texture(0, Texture(values.astype(np.float32)))
+        texture = Texture(values.astype(np.float32))
+        device.bind_texture(0, texture)
         device.set_program(factory())
         device.set_program_parameter(0, scale)
 
     query = device.begin_query() if scenario["query"] else None
-    for quad_depth in scenario["quad_depths"]:
-        device.render_quad(
-            quad_depth, color=scenario["color"], **scenario["cover"]
-        )
+    for change in (("same",),) + tuple(changes):
+        if change[0] == "alpha":
+            state.alpha.func, state.alpha.reference = change[1:]
+        elif change[0] == "param":
+            device.set_program_parameter(0, change[1])
+        elif change[0] == "upload" and texture is not None:
+            texels = np.random.default_rng(change[1]).integers(
+                0, 1 << _BITS, (texture.num_texels, 1)
+            )
+            device.upload_texels(texture, 0, texels.astype(np.float32))
+        for quad_depth in scenario["quad_depths"]:
+            device.render_quad(
+                quad_depth, color=scenario["color"], **scenario["cover"]
+            )
     occlusion = None
     if query is not None:
         device.end_query()
@@ -346,8 +374,26 @@ def _run(device_class, scenario):
 )
 @given(scenario=_scenarios())
 def test_rect_views_match_fancy_indexed_reference(scenario):
-    device, occlusion = _run(Device, scenario)
-    reference, expected_occlusion = _run(ReferenceDevice, scenario)
+    _assert_matches_reference(scenario)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenario=_scenarios(), changes=_changes)
+def test_repeated_passes_match_reference(scenario, changes):
+    """The scenario's passes again after each change — none, the alpha
+    test, the parameter or the texels — on the JIT: a repeat may be
+    served from the kernel's stage memo and a change must invalidate
+    it, while the reference runs every program."""
+    _assert_matches_reference(dict(scenario, jit=True), changes)
+
+
+def _assert_matches_reference(scenario, changes=()):
+    device, occlusion = _run(Device, scenario, changes)
+    reference, expected_occlusion = _run(ReferenceDevice, scenario, changes)
     fb, ref_fb = device.framebuffer, reference.framebuffer
     assert np.array_equal(
         fb.color.data.view(np.uint32), ref_fb.color.data.view(np.uint32)
