@@ -55,10 +55,13 @@ lint:
 # The dynamic race sanitizer over the concurrent layers: every test in
 # the shard and service suites (chaos included) runs with the process
 # recorder armed and fails on any H109 it produced (see
-# docs/SANITIZER.md and the autouse gate in tests/conftest.py).
+# docs/SANITIZER.md and the autouse gate in tests/conftest.py).  The
+# pipeline reference and count-index tests run armed too: every
+# count-index hit is re-derived and a stale one raises H111.
 sanitize:
 	PYTHONPATH=src REPRO_SAN=1 python -m pytest -q \
-		tests/shard tests/service tests/analysis
+		tests/shard tests/service tests/analysis \
+		tests/gpu/test_pipeline_reference.py tests/gpu/test_count_index.py
 
 # Every degraded path in one command: the CI chaos job's fault-profile
 # suite (REPRO_CHAOS_PROFILE, default mixed), the killed-shard chaos
@@ -84,7 +87,7 @@ chaos-concurrent:
 bench-gate:
 	PYTHONPATH=src python -m repro.bench --snapshot /tmp/BENCH_current.json
 	PYTHONPATH=src python -m repro.bench.compare /tmp/BENCH_current.json \
-		--against BENCH_20.json
+		--against BENCH_23.json
 
 # Trace the figure-9 workload (selection + masked median) per pass;
 # writes traces/fig9.txt (pass tree) and traces/fig9.json (load in

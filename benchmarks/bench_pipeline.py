@@ -10,13 +10,18 @@ here without the end-to-end harness::
 The copy-to-depth and ``TestBit`` passes come warm (the same pass over
 unchanged texels, which the kernel's stage memo serves) and cold (one
 texel uploaded before every round, so every round binds a new kernel
-and runs its program: the miss path a stream tick takes).
+and runs its program: the miss path a stream tick takes).  The
+bit-search pass likewise comes warm (answered from the device's sorted
+index of surviving depth codes) and cold (the stencil generation moved
+before every round, so every round runs the stages), and a whole
+Routine 4.5 search — one copy and 20 counts over fresh codes — shows
+what the index saves per order statistic.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.aggregates import accumulator_state
+from repro.core.aggregates import accumulator_state, kth_largest
 from repro.core.compare import copy_to_depth
 from repro.gpu import CompareFunc, Device, StencilOp, Texture
 from repro.gpu.programs import test_bit_program as bit_program
@@ -57,11 +62,7 @@ def test_stencil_replace_scattered(benchmark, device):
     _pass_stats(benchmark, device, lambda: device.render_quad(0.0))
 
 
-@pytest.mark.benchmark(group="pipeline")
-def test_bit_search_pass(benchmark, device):
-    """One bit of routine 4.5: stencil ``EQUAL`` with every op
-    ``KEEP``, depth ``LEQUAL`` against the stored attribute, and an
-    occlusion query counting the survivors."""
+def _bit_search_state(device):
     state = device.state
     state.stencil.enabled = True
     state.stencil.func = CompareFunc.EQUAL
@@ -75,7 +76,60 @@ def test_bit_search_pass(benchmark, device):
         device.render_quad(0.5)
         device.end_query()
 
-    _pass_stats(benchmark, device, run)
+    return run
+
+
+@pytest.mark.benchmark(group="pipeline")
+def test_bit_search_pass(benchmark, device):
+    """One bit of routine 4.5: stencil ``EQUAL`` with every op
+    ``KEEP``, depth ``LEQUAL`` against the stored attribute, and an
+    occlusion query counting the survivors.  Warm: from the second
+    round on the device answers it from its sorted index of the
+    surviving depth codes (two binary searches), so this measures the
+    indexed path."""
+    _pass_stats(benchmark, device, _bit_search_state(device))
+
+
+@pytest.mark.benchmark(group="pipeline")
+def test_bit_search_pass_cold(benchmark, device):
+    """The bit-search pass with the stencil generation moved before
+    every round: the index never holds the key, and every round runs
+    the stencil and depth tests over every fragment."""
+
+    def move():
+        device.stencil_generation += 1
+
+    benchmark.pedantic(_bit_search_state(device), setup=move, rounds=30)
+    stats = device.stats.passes[-1]
+    benchmark.extra_info["fragments"] = stats.fragments
+    benchmark.extra_info["passed"] = stats.passed
+
+
+@pytest.mark.benchmark(group="pipeline")
+def test_routine_4_5_search(benchmark, device):
+    """A whole k-th largest search (routine 4.5) over fresh codes each
+    round: new texels are uploaded before the round, then the round
+    copies the 20-bit attribute to depth and runs the 20 counting
+    passes against the valid stencil."""
+    rng = np.random.default_rng(17)
+    texture = _texture(17)
+    fresh = [
+        rng.integers(0, 1 << 20, (texture.num_texels, 1)).astype(np.float32)
+        for _ in range(3)
+    ]
+    rounds = iter(range(1 << 30))
+
+    def upload():
+        device.upload_texels(texture, 0, fresh[next(rounds) % len(fresh)])
+
+    def search():
+        return kth_largest(
+            device, texture, 20, SIDE * SIDE // 4, 1.0 / (1 << 20),
+            valid_stencil=1,
+        )
+
+    benchmark.pedantic(search, setup=upload, rounds=15)
+    benchmark.extra_info["passes"] = len(device.stats.passes)
 
 
 def _texture(seed):

@@ -150,6 +150,21 @@ ORDER_SENSITIVE_COMBINER = Rule(
     "results under permuted or re-associated shard orders",
 )
 
+#: Device-memo invariant: a device answers some passes from
+#: generation-keyed memos (the count-only passes' sorted index of
+#: stored depth codes).  A hit must equal what the stages would have
+#: computed from the live buffers; one that does not means a buffer
+#: changed without its generation moving, or the key misses an input.
+#: Fired by the device itself while the sanitizer is armed
+#: (``REPRO_SAN=1``), which re-derives every hit
+#: (:class:`~repro.errors.StaleMemoError`).
+STALE_MEMO = Rule(
+    "H111",
+    "stale-memo",
+    "a device memo hit differs from re-running the stages on the live "
+    "buffers, so the memo's key misses an input",
+)
+
 #: Everything the verifier can fire, in code order.
 HAZARD_RULES: tuple[Rule, ...] = (
     STALE_DEPTH,
@@ -162,4 +177,5 @@ HAZARD_RULES: tuple[Rule, ...] = (
     SHARD_ALIASING,
     DEVICE_RACE,
     ORDER_SENSITIVE_COMBINER,
+    STALE_MEMO,
 )

@@ -156,6 +156,26 @@ class DataRaceError(ReproError):
         self.report = report
 
 
+class StaleMemoError(ReproError):
+    """A device memo served an answer its miss path does not give
+    (hazard H111 ``stale-memo``).
+
+    Raised only while the sanitizer is armed (``REPRO_SAN=1``), when a
+    memo hit is re-derived from the buffers and differs: a buffer
+    changed without its generation moving, or the memo's key misses an
+    input.  Not a :class:`GpuError`, so no retry or host fallback hides
+    it.  Carries the memo's name as ``memo`` and the key it was served
+    under as ``key``.
+    """
+
+    def __init__(self, memo: str, key, detail: str):
+        super().__init__(
+            f"H111 stale-memo: {memo} served key {key!r}: {detail}"
+        )
+        self.memo = memo
+        self.key = key
+
+
 class SqlError(ReproError):
     """Base class for SQL front-end errors."""
 

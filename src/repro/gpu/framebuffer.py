@@ -17,6 +17,7 @@ depth test are exact for attributes of up to 24 bits.
 
 from __future__ import annotations
 
+import struct
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +26,7 @@ from ..errors import FramebufferError
 from .types import DEPTH_BITS, DEPTH_MAX_CODE, STENCIL_MAX
 
 _DEPTH_SCALE = float(1 << DEPTH_BITS)
+_FLOAT32 = struct.Struct("f")
 
 
 def depth_to_code(
@@ -54,6 +56,23 @@ def depth_to_code(
         return scaled.astype(np.uint32)
     np.copyto(out, scaled, casting="unsafe")
     return out
+
+
+def quad_depth_code(depth: float) -> int:
+    """:func:`depth_to_code` of one quad depth in ``[0, 1]``, in plain
+    Python: bit-exact with ``depth_to_code(np.float32(depth))``.
+
+    The depth is rounded to float32 (a ``struct`` round trip rounds to
+    nearest), scaled by ``2**24`` (exact in double precision), clamped
+    and truncated, with no numpy call: a pass quantizes its single quad
+    depth this way.  NaN is code 0, as in :func:`depth_to_code`.
+    """
+    scaled = _FLOAT32.unpack(_FLOAT32.pack(depth))[0] * _DEPTH_SCALE
+    if not scaled > 0.0:
+        return 0
+    if scaled >= DEPTH_MAX_CODE:
+        return DEPTH_MAX_CODE
+    return int(scaled)
 
 
 def code_to_depth(code: np.ndarray) -> np.ndarray:

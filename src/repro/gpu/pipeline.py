@@ -24,16 +24,22 @@ shapes all of the paper's algorithms (section 6.1).
 
 from __future__ import annotations
 
+import mmap
 import time
 
 import numpy as np
 
 from .. import sanitize
-from ..errors import GpuError, OcclusionQueryError, RenderStateError
+from ..errors import (
+    GpuError,
+    OcclusionQueryError,
+    RenderStateError,
+    StaleMemoError,
+)
 from ..faults import SITE_PASS, SITE_READBACK, check_deadline, maybe_inject
 from .assembler import FragmentProgram
 from .counters import PassStats, PipelineStats
-from .framebuffer import FrameBuffer, depth_to_code
+from .framebuffer import FrameBuffer, depth_to_code, quad_depth_code
 from .interpreter import (
     FragmentAttrib,
     FragmentBatch,
@@ -87,6 +93,78 @@ def _survivors(
     alive = passing if alive is None else alive & passing
     live = int(np.count_nonzero(alive))
     return (None if live == total else alive), live
+
+
+def _depth_passing(
+    func: CompareFunc, survivors: int, codes: np.ndarray | None, depth
+) -> int:
+    """How many of ``survivors`` stored codes pass the depth test
+    ``quad func stored`` against the quad at ``depth``: ``ALWAYS`` and
+    ``NEVER`` need no codes, every other function one or two binary
+    searches in the sorted ``codes`` with the quad's ``uint32`` code
+    (so the search casts nothing)."""
+    if func is CompareFunc.ALWAYS:
+        return survivors
+    if func is CompareFunc.NEVER:
+        return 0
+    code = np.uint32(quad_depth_code(depth))
+    if func is CompareFunc.LESS:
+        return survivors - int(codes.searchsorted(code, "right"))
+    if func is CompareFunc.LEQUAL:
+        return survivors - int(codes.searchsorted(code, "left"))
+    if func is CompareFunc.GREATER:
+        return int(codes.searchsorted(code, "left"))
+    if func is CompareFunc.GEQUAL:
+        return int(codes.searchsorted(code, "right"))
+    equal = int(codes.searchsorted(code, "right")) - int(
+        codes.searchsorted(code, "left")
+    )
+    return equal if func is CompareFunc.EQUAL else survivors - equal
+
+
+def _mapped_codes(size: int) -> np.ndarray:
+    """A ``uint32`` array of ``size`` elements in its own anonymous
+    memory map.  It lives outside the malloc heap: freeing it returns
+    its pages, and it leaves no hole between longer-lived allocations
+    (a 4 MB index freed inside a single-arena heap would)."""
+    return np.frombuffer(
+        mmap.mmap(-1, 4 * max(size, 1)), dtype=np.uint32
+    )[:size]
+
+
+#: Fragments an index rebuild gathers per ``np.compress`` call.  The
+#: call builds an ``int64`` index of what it selects; over a whole
+#: 2^20-pixel rect that is up to 8 MB, numpy asks the kernel for huge
+#: pages for it, and peak RSS at a fixed 2000 ``paper_olap`` ops then
+#: varied from run to run by 20 MB.  A block bounds it at 512 KB.
+_GATHER_BLOCK = 1 << 16
+
+#: How many rects keep a count index.  A count quad covers at most two
+#: rects (:func:`~repro.gpu.raster.rects_for_count`).
+COUNT_INDEX_RECTS = 4
+
+
+class _CountIndex:
+    """One rect's answer to count-only passes: the number of fragments
+    that pass the stencil test and, once a pass compares depth, their
+    stored depth codes in sorted order.
+
+    ``key`` names the buffers and stencil test the answer holds for;
+    ``seen`` is the key of the last pass that did not find it (the
+    index is built on the second pass with one key).  ``buffer`` holds
+    ``uint32`` codes for every pixel of the rect; it is mapped once
+    (:func:`_mapped_codes`) and every rebuild sorts in place in a prefix
+    of it.
+    """
+
+    __slots__ = ("key", "seen", "survivors", "codes", "buffer")
+
+    def __init__(self) -> None:
+        self.key = None
+        self.seen = None
+        self.survivors: int | None = None
+        self.codes: np.ndarray | None = None
+        self.buffer: np.ndarray | None = None
 
 
 class _FragmentOutputs:
@@ -172,6 +250,9 @@ class Device:
         self._parameters = np.zeros((NUM_PARAMETERS, 4), dtype=np.float32)
         self._active_query: OcclusionQuery | None = None
         self._pass_counter = 0
+        #: Count-only passes' indexes, one per rect, least recently
+        #: used first (see :meth:`_indexed_count`).
+        self._count_indexes: dict[Rect, _CountIndex] = {}
 
     # -- resource binding ----------------------------------------------------
 
@@ -460,6 +541,166 @@ class Device:
         self, rect: Rect, depth: float, color, stats: PassStats
     ) -> None:
         self.state.validate()
+        live = self._indexed_count(rect, depth, color, stats)
+        if live is None:
+            live = self._shade(rect, depth, color, stats)
+        if self._active_query is not None and self._active_query.active:
+            self._active_query._add(live)
+
+    def _count_only(self) -> bool:
+        """True when a pass changes nothing but its ``PassStats`` and
+        the occlusion count: no program, no color or depth write, no
+        alpha or depth-bounds test, and no stencil op but ``KEEP``."""
+        state = self.state
+        stencil = state.stencil
+        return (
+            self._program is None
+            and not any(state.color_mask)
+            and not (state.depth.enabled and state.depth.write)
+            and not state.alpha.enabled
+            and not state.depth_bounds.enabled
+            and (
+                not stencil.enabled
+                or (
+                    stencil.sfail is StencilOp.KEEP
+                    and stencil.zfail is StencilOp.KEEP
+                    and stencil.zpass is StencilOp.KEEP
+                )
+            )
+        )
+
+    def _indexed_count(
+        self, rect: Rect, depth: float, color, stats: PassStats
+    ) -> int | None:
+        """A count-only pass over ``rect`` answered from the rect's
+        :class:`_CountIndex`: the fragments that pass, with ``stats``
+        updated as the stages would.  None when the pass is not
+        count-only or the index does not hold its key yet; the caller
+        then runs the stages.
+
+        The key is the depth and stencil generations and the stencil
+        test (func, reference, mask), so any buffer write or state
+        change misses.  The first pass with a key only records it; the
+        second builds the survivor count, and the sorted codes once a
+        pass compares depth.  After that a pass is at most two binary
+        searches with the quad's code.
+        """
+        if not self._count_only():
+            return None
+        state = self.state
+        stencil = state.stencil
+        tested = stencil.enabled and stencil.func is not CompareFunc.ALWAYS
+        key = (
+            self.depth_generation,
+            self.stencil_generation,
+            (stencil.func, stencil.reference, stencil.mask)
+            if tested
+            else None,
+        )
+        indexes = self._count_indexes
+        index = indexes.pop(rect, None)
+        if index is None:
+            index = _CountIndex()
+            if len(indexes) >= COUNT_INDEX_RECTS:
+                del indexes[next(iter(indexes))]
+        indexes[rect] = index
+        if index.key != key:
+            if index.seen != key:
+                index.seen = key
+                return None
+            index.key = key
+            index.survivors = None
+            index.codes = None
+        func = CompareFunc.ALWAYS
+        if state.depth.enabled:
+            func = state.depth.func
+        sort = func is not CompareFunc.ALWAYS and func is not CompareFunc.NEVER
+        if index.survivors is None or (sort and index.codes is None):
+            self._build_count_index(index, rect, tested, sort)
+        fragments = rect.num_pixels
+        survivors = index.survivors
+        passed = _depth_passing(func, survivors, index.codes, depth)
+        if sanitize.enabled():
+            self._audit_count(rect, depth, color, key, survivors, passed)
+        stats.fragments += fragments
+        stats.stencil_failed += fragments - survivors
+        stats.depth_failed += survivors - passed
+        stats.passed += passed
+        return passed
+
+    def _build_count_index(
+        self, index: _CountIndex, rect: Rect, tested: bool, sort: bool
+    ) -> None:
+        """Count ``rect``'s stencil survivors into ``index`` and, with
+        ``sort``, gather their stored codes into a prefix of its buffer
+        and sort them there."""
+        region = self.framebuffer.region(rect)
+        keep = self._stencil_pass(region.stencil) if tested else None
+        index.survivors = (
+            rect.num_pixels if keep is None else int(np.count_nonzero(keep))
+        )
+        if not sort:
+            return
+        if index.buffer is None:
+            index.buffer = _mapped_codes(rect.num_pixels)
+        codes = index.buffer[: index.survivors]
+        if keep is None:
+            codes.reshape(region.depth.shape)[...] = region.depth
+        else:
+            keep = keep.ravel()
+            stored = region.depth.reshape(-1)
+            start = 0
+            for block in range(0, keep.size, _GATHER_BLOCK):
+                part = keep[block : block + _GATHER_BLOCK]
+                stop = start + int(np.count_nonzero(part))
+                np.compress(
+                    part,
+                    stored[block : block + _GATHER_BLOCK],
+                    out=codes[start:stop],
+                )
+                start = stop
+        codes.sort()
+        index.codes = codes
+
+    def _audit_count(
+        self, rect: Rect, depth: float, color, key, survivors: int,
+        passed: int,
+    ) -> None:
+        """The armed sanitizer's check of an indexed count: run the
+        stages on ``rect`` and compare.  A difference means a buffer
+        changed without its generation moving, or the key misses an
+        input: hazard H111."""
+        shaded = PassStats(index=-1, fragments=0)
+        self._shade(rect, depth, color, shaded)
+        fragments = rect.num_pixels
+        served = (fragments - survivors, survivors - passed, passed)
+        truth = (shaded.stencil_failed, shaded.depth_failed, shaded.passed)
+        if served != truth:
+            raise StaleMemoError(
+                "count-index",
+                (rect, *key),
+                f"(stencil_failed, depth_failed, passed) = {served}, "
+                f"but the stages give {truth}",
+            )
+
+    def _stencil_pass(self, stored: np.ndarray) -> np.ndarray:
+        """The stencil test over the ``stored`` stencil view.  GL
+        convention: the test passes when ``(ref & mask) func (stencil &
+        mask)``; the scalar reference is on the left, hence the swapped
+        comparison."""
+        stencil = self.state.stencil
+        mask = np.uint8(stencil.mask)
+        if mask != 0xFF:
+            stored = stored & mask
+        return stencil.func.swap().apply(
+            stored, np.uint8(stencil.reference) & mask
+        )
+
+    def _shade(
+        self, rect: Rect, depth: float, color, stats: PassStats
+    ) -> int:
+        """Run every stage of the pass on ``rect``; returns the
+        fragments that passed (the occlusion count)."""
         fb = self.framebuffer
         batch = rasterize_rect(
             rect, fb.width, fb.height, depth, tuple(color)
@@ -537,18 +778,10 @@ class Device:
             alive, live = _survivors(alive, alpha_pass, total)
             stats.alpha_failed += before - live
 
-        # Stage 3: stencil test.  GL convention: the test passes when
-        # ``(ref & mask) func (stencil & mask)``; the scalar reference
-        # is on the left, hence the swapped comparison.
+        # Stage 3: stencil test.
         stencil = state.stencil
         if stencil.enabled and stencil.func is not CompareFunc.ALWAYS:
-            mask = np.uint8(stencil.mask)
-            stored = region.stencil
-            if mask != 0xFF:
-                stored = stored & mask
-            stencil_pass = stencil.func.swap().apply(
-                stored, np.uint8(stencil.reference) & mask
-            )
+            stencil_pass = self._stencil_pass(region.stencil)
             before, count = alive, live
             alive, live = _survivors(alive, stencil_pass, total)
             count -= live
@@ -574,17 +807,17 @@ class Device:
 
         # Stage 5: depth test.  Without a program-written depth every
         # fragment carries the quad depth (the float32 WPOS.z), so it
-        # is quantized once.  A program-written depth is quantized only
-        # when something reads the codes: the comparison, a write that
-        # lands on some fragments only, or a memoizing kernel's stage
-        # memo.  Any other write that lands on every fragment quantizes
-        # straight into the buffer.
+        # is quantized once, in Python.  A program-written depth is
+        # quantized only when something reads the codes: the
+        # comparison, a write that lands on some fragments only, or a
+        # memoizing kernel's stage memo.  Any other write that lands on
+        # every fragment quantizes straight into the buffer.
         early_z_survivors: int | None = None
         if state.depth.enabled:
             compare = state.depth.func is not CompareFunc.ALWAYS
             frag_codes = None
             if program is None or not program.writes_depth:
-                frag_codes = depth_to_code(np.float32(depth))
+                frag_codes = np.uint32(quad_depth_code(depth))
             elif compare or (
                 state.depth.write
                 and (alive is not None or outputs.memoized)
@@ -638,10 +871,9 @@ class Device:
                 stencil.zpass, region.stencil, alive, live, stats
             )
 
-        # Stage 6: occlusion counting and color write.
+        # Stage 6: occlusion counting (the caller feeds the query) and
+        # color write.
         stats.passed += live
-        if self._active_query is not None and self._active_query.active:
-            self._active_query._add(live)
         if live and any(state.color_mask):
             frag_color = outputs.result.color
             for channel, enabled in enumerate(state.color_mask):
@@ -654,6 +886,7 @@ class Device:
         stats.color_writes += live * sum(state.color_mask)
 
         self._accumulate_early_z(stats, early_z_survivors, total)
+        return live
 
     def _apply_stencil_op(
         self,

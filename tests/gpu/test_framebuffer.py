@@ -11,6 +11,7 @@ from repro.gpu.framebuffer import (
     FrameBuffer,
     code_to_depth,
     depth_to_code,
+    quad_depth_code,
 )
 from repro.gpu.pipeline import Device
 from repro.gpu.programs import copy_to_depth_program
@@ -137,6 +138,26 @@ class TestDepthQuantization:
             0, DEPTH_MAX_CODE, 0, 1 << 23,
         ]
         assert device.stats.passes[-1].depth_writes == 4
+
+    @given(
+        depth=st.one_of(
+            st.sampled_from([0.0, 1.0, -0.0]),
+            st.floats(0.0, 1.0, width=32),
+            st.floats(0.0, 1.0),
+            _depths(np.float32).filter(lambda d: 0.0 <= d <= 1.0),
+        )
+    )
+    def test_quad_depth_code_matches_depth_to_code(self, depth):
+        """The scalar quantizer of a quad depth is bit-exact with
+        ``depth_to_code(np.float32(depth))``: float32 depths in
+        ``[0, 1]`` with 0, 1 and ``k / 2**24`` one ulp either side, and
+        the double depths ``render_quad`` takes, rounded to float32."""
+        code = quad_depth_code(float(depth))
+        assert type(code) is int
+        assert code == int(depth_to_code(np.float32(depth)))
+
+    def test_quad_depth_code_of_nan_is_zero(self):
+        assert quad_depth_code(float("nan")) == 0
 
     def test_code_to_depth_inverts_bucket_floor(self):
         codes = np.array([0, 1, DEPTH_MAX_CODE], dtype=np.uint32)

@@ -15,6 +15,7 @@ field, the occlusion count and the generation counters.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from repro.gpu.programs import (
 from repro.gpu.programs import test_bit_kil_program as bit_kil_program
 from repro.gpu.programs import test_bit_program as bit_program
 from repro.gpu.raster import Rect, rasterize_rect
+from repro.gpu.types import DEPTH_MAX_CODE
 
 
 def _linear_indices(rect: Rect, screen_width: int) -> np.ndarray:
@@ -406,3 +408,236 @@ def _assert_matches_reference(scenario, changes=()):
     assert occlusion == expected_occlusion
     assert device.stencil_generation == reference.stencil_generation
     assert device.depth_generation == reference.depth_generation
+
+
+# -- count-only passes: the device's sorted index of survivor codes ----------
+
+#: Stored codes a count pass meets at both ends of the depth range.
+_EDGE_CODES = np.array([0, 1, 1 << 23, DEPTH_MAX_CODE - 1, DEPTH_MAX_CODE])
+#: Quad depths whose codes are 0, DEPTH_MAX_CODE and one in between.
+_EDGE_DEPTHS = (0.0, 1.0, 0.5)
+
+
+def _count_device(device_class, height, width, jit, seed):
+    """A device with scattered stencil values in {0, 1, 2} and stored
+    codes drawn from the ends of the range and the whole of it."""
+    device = device_class(height, width, jit=jit)
+    rng = np.random.default_rng(seed)
+    fb = device.framebuffer
+    fb.stencil.values[:] = rng.integers(0, 3, fb.num_pixels)
+    fb.depth.codes[:] = np.where(
+        rng.random(fb.num_pixels) < 0.5,
+        rng.choice(_EDGE_CODES, fb.num_pixels),
+        rng.integers(0, DEPTH_MAX_CODE + 1, fb.num_pixels),
+    )
+    return device
+
+
+def _count_state(state, func, stencil=(True, CompareFunc.EQUAL, 1, 0xFF)):
+    """A count-only pass: Routine 4.5's comparison quad."""
+    state.reset()
+    state.color_mask = (False, False, False, False)
+    (
+        state.stencil.enabled,
+        state.stencil.func,
+        state.stencil.reference,
+        state.stencil.mask,
+    ) = stencil
+    state.depth.enabled = func is not None
+    state.depth.func = func if func is not None else CompareFunc.LESS
+    state.depth.write = False
+
+
+def _counted(device, depth, cover):
+    query = device.begin_query()
+    device.render_quad(depth, **cover)
+    device.end_query()
+    return query.result()
+
+
+#: One step of a count sequence: a count pass (repeated), or something
+#: that changes what the next count must see.
+_count_steps = st.one_of(
+    st.tuples(
+        st.just("count"),
+        st.one_of(st.none(), _funcs),
+        st.one_of(st.sampled_from(_EDGE_DEPTHS), st.floats(0.0, 1.0)),
+        st.integers(1, 3),
+    ),
+    st.tuples(st.just("stencil-test"), _funcs, st.integers(0, 3),
+              st.sampled_from([0xFF, 0x01, 0x02, 0x00])),
+    st.tuples(st.just("depth-write"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("copy"), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("stencil-write"), _ops, st.integers(0, 3)),
+    st.sampled_from(
+        [("clear",), ("clear-depth",), ("clear-stencil",)]
+    ),
+)
+
+
+def _run_counts(device_class, scenario):
+    height, width = scenario["height"], scenario["width"]
+    device = _count_device(
+        device_class, height, width, scenario["jit"], scenario["seed"]
+    )
+    cover = scenario["cover"]
+    stencil = (True, CompareFunc.EQUAL, 1, 0xFF)
+    func = CompareFunc.GEQUAL
+    counts = []
+    for step in scenario["steps"]:
+        kind = step[0]
+        if kind == "count":
+            _, func, depth, repeats = step
+            _count_state(device.state, func, stencil)
+            counts += [_counted(device, depth, cover) for _ in range(repeats)]
+        elif kind == "stencil-test":
+            stencil = (True,) + step[1:]
+        elif kind == "depth-write":
+            # Depth test ALWAYS with the write on: the quad depth lands
+            # on the stencil-passing fragments.
+            _count_state(device.state, CompareFunc.ALWAYS, stencil)
+            device.state.depth.write = True
+            device.render_quad(step[1], **cover)
+        elif kind == "copy":
+            values = np.random.default_rng(step[1]).integers(
+                0, 1 << _BITS, (height, width)
+            )
+            device.state.reset()
+            device.state.color_mask = (False, False, False, False)
+            device.state.depth.enabled = True
+            device.state.depth.func = CompareFunc.ALWAYS
+            device.bind_texture(0, Texture(values.astype(np.float32)))
+            device.set_program(copy_to_depth_program())
+            device.set_program_parameter(0, 1.0 / (1 << _BITS))
+            device.render_quad(0.0, **cover)
+            device.set_program(None)
+        elif kind == "stencil-write":
+            _count_state(device.state, None, (True, CompareFunc.ALWAYS,
+                                              step[2], 0xFF))
+            device.state.stencil.zpass = step[1]
+            device.render_quad(0.0, **cover)
+        elif kind == "clear":
+            device.clear(stencil=1)
+        elif kind == "clear-depth":
+            device.clear_depth(0.5)
+        else:
+            device.clear_stencil(1)
+    return device, counts
+
+
+@st.composite
+def _count_scenarios(draw):
+    height = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 6))
+    # Two rects when the count leaves a partial row.
+    cover = draw(st.sampled_from(["full", "count"]))
+    return {
+        "height": height,
+        "width": width,
+        "cover": (
+            {"count": draw(st.integers(0, height * width))}
+            if cover == "count"
+            else {}
+        ),
+        "steps": draw(st.lists(_count_steps, min_size=1, max_size=8)),
+        "jit": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _assert_same_device(device, counts, reference, expected):
+    fb, ref_fb = device.framebuffer, reference.framebuffer
+    assert counts == expected
+    assert np.array_equal(fb.depth.codes, ref_fb.depth.codes)
+    assert np.array_equal(fb.stencil.values, ref_fb.stencil.values)
+    assert [dataclasses.asdict(p) for p in device.stats.passes] == [
+        dataclasses.asdict(p) for p in reference.stats.passes
+    ]
+    assert device.stencil_generation == reference.stencil_generation
+    assert device.depth_generation == reference.depth_generation
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenario=_count_scenarios())
+def test_repeated_counts_match_reference(scenario):
+    """Repeated count-only passes, which the device answers from its
+    index from the second pass on, interleaved with depth writes,
+    program copies, stencil writes, stencil-test changes, clears and
+    depth-func changes: every count, buffer and ``PassStats`` equals
+    the reference's, and JIT and interpreter devices agree."""
+    device, counts = _run_counts(Device, scenario)
+    reference, expected = _run_counts(ReferenceDevice, scenario)
+    _assert_same_device(device, counts, reference, expected)
+    other, other_counts = _run_counts(
+        Device, dict(scenario, jit=not scenario["jit"])
+    )
+    _assert_same_device(other, other_counts, device, counts)
+
+
+@pytest.mark.parametrize("func", list(CompareFunc))
+@pytest.mark.parametrize("depth", _EDGE_DEPTHS)
+@pytest.mark.parametrize(
+    "cover", [{}, {"count": 4 * 7 + 3}], ids=["full", "two-rects"]
+)
+def test_every_depth_func_at_the_code_range_ends(func, depth, cover):
+    """Each ``CompareFunc`` against stored codes at 0 and
+    ``DEPTH_MAX_CODE``, with the quad at code 0, the largest code and
+    one between, on one rect and on a two-rect ``count=`` quad: the
+    first pass runs the stages, the second builds the index, the rest
+    search it."""
+    scenario = {
+        "height": 5,
+        "width": 7,
+        "cover": cover,
+        "steps": [("count", func, depth, 4)],
+        "jit": True,
+        "seed": 23,
+    }
+    device, counts = _run_counts(Device, scenario)
+    reference, expected = _run_counts(ReferenceDevice, scenario)
+    _assert_same_device(device, counts, reference, expected)
+    assert len(set(counts)) == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        ("depth-write", 0.3),
+        ("copy", 17),
+        ("stencil-write", StencilOp.REPLACE, 1),
+        ("stencil-write", StencilOp.INCR, 0),
+        ("stencil-test", CompareFunc.EQUAL, 2, 0xFF),
+        ("stencil-test", CompareFunc.EQUAL, 1, 0x02),
+        ("count", CompareFunc.LESS, 0.5, 2),
+        ("clear",),
+        ("clear-depth",),
+        ("clear-stencil",),
+    ],
+    ids=lambda change: "-".join(str(part) for part in change),
+)
+@pytest.mark.parametrize(
+    "cover", [{}, {"count": 4 * 7 + 3}], ids=["full", "two-rects"]
+)
+def test_counts_around_each_change_match_reference(change, cover):
+    """Indexed counts, one change, then counts again: the change must
+    reach the counts after it.  On this seed every buffer or stencil
+    change moves the count; the depth-func change is searched in the
+    same index."""
+    count = ("count", CompareFunc.GEQUAL, 0.5, 3)
+    scenario = {
+        "height": 5,
+        "width": 7,
+        "cover": cover,
+        "steps": [count, change, count],
+        "jit": False,
+        "seed": 2,
+    }
+    device, counts = _run_counts(Device, scenario)
+    reference, expected = _run_counts(ReferenceDevice, scenario)
+    _assert_same_device(device, counts, reference, expected)
+    if change[0] != "count":
+        assert expected[0] != expected[-1]
