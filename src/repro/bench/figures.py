@@ -373,7 +373,6 @@ def fig8_median(scale: Scale) -> ExperimentResult:
 )
 def fig9_median_selectivity(scale: Scale) -> ExperimentResult:
     from ..core import aggregates
-    from ..core.select import execute_selection
 
     xs = []
     gpu_sel_ms, gpu_kth80_ms, gpu_kth100_ms, cpu_ms = [], [], [], []
@@ -391,16 +390,15 @@ def fig9_median_selectivity(scale: Scale) -> ExperimentResult:
         texture, scale_factor, channel = gpu.column_texture("data_count")
 
         # Phase 1: the selection (stencil mask).
-        gpu.device.stats.reset()
-        outcome = execute_selection(gpu.device, relation, gpu, predicate)
-        selection_window = gpu.device.stats.snapshot()
+        selection = gpu.select(predicate)
+        selection_window = selection.stats
 
         # Phase 2: masked KthLargest on the selection.
         gpu.device.stats.reset()
-        (k80,) = aggregates.order_targets("median", outcome.count)
+        (k80,) = aggregates.order_targets("median", selection.count)
         value80 = aggregates.kth_largest(
             gpu.device, texture, column.bits, k80, scale_factor,
-            channel=channel, valid_stencil=outcome.valid_stencil,
+            channel=channel, valid_stencil=selection.valid_stencil,
         )
         kth80_window = gpu.device.stats.snapshot()
 

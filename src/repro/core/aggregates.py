@@ -35,7 +35,7 @@ from ..gpu.pipeline import Device
 from ..gpu.programs import test_bit_kil_program, test_bit_program
 from ..gpu.state import RenderState
 from ..gpu.texture import Texture
-from ..gpu.types import CompareFunc, StencilOp
+from ..gpu.types import STENCIL_MAX, CompareFunc, StencilOp
 from .compare import compare_pass, copy_to_depth
 
 
@@ -49,6 +49,8 @@ def _configure_valid_stencil(device: Device, valid_stencil: int | None):
     stencil.enabled = True
     stencil.func = CompareFunc.EQUAL
     stencil.reference = valid_stencil
+    stencil.mask = STENCIL_MAX
+    stencil.write_mask = STENCIL_MAX
     stencil.sfail = StencilOp.KEEP
     stencil.zfail = StencilOp.KEEP
     stencil.zpass = StencilOp.KEEP

@@ -18,7 +18,6 @@ the simulated GeForce-FX timings the benchmark harness reports.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import os
 
 import numpy as np
@@ -26,6 +25,7 @@ import numpy as np
 from ..analysis.race import ensure_installed, sanitizer_requested
 from ..errors import (
     GpuError,
+    PlanVerificationError,
     QueryError,
     QueryTimeoutError,
     StaleSelectionError,
@@ -38,7 +38,7 @@ from ..gpu.memory import VideoMemory
 from ..gpu.pipeline import Device
 from ..gpu.texture import Texture, texture_shape_for
 from ..plan.cache import PlanCache
-from ..plan.passes import predicate_key
+from ..plan.passes import CopyDepthPass, pass_counts, predicate_key
 from ..trace import current_tracer
 from . import aggregates
 from .compare import copy_to_depth
@@ -53,79 +53,38 @@ from .predicates import (
     SemiLinear,
 )
 from .relation import Relation
-from .select import execute_selection
+from .select import run_passes
 
 _COPY_PREFIX = "copy-to-depth"
 
 
-def _resilient(method):
-    """Route an engine operation through the attached
-    :class:`~repro.faults.ResilientExecutor` (transient GPU faults are
-    retried; each attempt re-runs the operation from scratch).
-
-    Operations delegating to other operations (``count`` -> ``select``)
-    retry only at the outermost call, so the attempt budget is the
-    policy's, not its square.
+def run_resilient(engine, fn, *, op: str, tracer=None):
+    """Run ``fn()`` as one resilient operation on ``engine``'s device:
+    every attempt starts with no occlusion query in flight, a GPU fault
+    or an expired deadline drops the cached depth/stencil outcomes (a
+    fault may have interrupted a pass mid-write), and the engine's
+    :class:`~repro.faults.ResilientExecutor`, when attached, retries
+    transient faults under ``op``'s name.  ``GpuEngine.execute_schedule``
+    and the sharded executor's per-shard tasks both run through it.
     """
-    name = method.__name__
 
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        if self._in_resilient_op:
-            return method(self, *args, **kwargs)
-        # The unified aggregate() entry point dispatches on its first
-        # argument; retries should be attributed to the actual
-        # operation ("count", "median", ...), not the dispatcher.
-        if name == "aggregate":
-            op_name = kwargs.get("op", args[0] if args else name)
-        elif name == "execute_schedule":
-            op_name = args[0].op if args else name
-        else:
-            op_name = name
-        executor = self.executor
-        if executor is None:
-            try:
-                return method(self, *args, **kwargs)
-            except GpuError:
-                # A fault may have interrupted a pass mid-write; none of
-                # the cached depth/stencil outcomes can be trusted.
-                self.plan.invalidate()
-                raise
-            except QueryTimeoutError:
-                # A deadline expiring mid-operation abandons the op at
-                # a pass boundary: discard any in-flight occlusion
-                # query and the now-unfinished cached outcomes.
-                self.device.abort_query()
-                self.plan.invalidate()
-                raise
-
-        def attempt():
-            # A fault can interrupt a pass mid-query; every attempt
-            # starts from clean device state or the re-render would
-            # trip over the dangling occlusion query.
-            self.device.abort_query()
-            try:
-                return method(self, *args, **kwargs)
-            except GpuError:
-                # Retries must start cold: a half-written buffer whose
-                # generation did not advance would otherwise satisfy a
-                # cache lookup on the next attempt.
-                self.plan.invalidate()
-                raise
-            except QueryTimeoutError:
-                # Not a device fault: the executor will not retry it,
-                # but the abandoned operation still needs cleanup.
-                self.device.abort_query()
-                self.plan.invalidate()
-                raise
-
-        self._in_resilient_op = True
+    def attempt():
+        engine.device.abort_query()
         try:
-            return executor.run(attempt, op=op_name, tracer=self.tracer)
-        finally:
-            self._in_resilient_op = False
+            return fn()
+        except GpuError:
+            engine.plan.invalidate()
+            raise
+        except QueryTimeoutError:
+            # Not a device fault: never retried, but the abandoned
+            # operation still needs cleanup.
+            engine.device.abort_query()
+            engine.plan.invalidate()
+            raise
 
-    return wrapper
+    if engine.executor is None:
+        return attempt()
+    return engine.executor.run(attempt, op=op, tracer=tracer)
 
 
 def _planar_values(column) -> np.ndarray:
@@ -441,8 +400,11 @@ class GpuEngine:
         self.executor = (
             executor if executor is not None else current_executor()
         )
-        self._in_resilient_op = False
         self._op_span = None
+        #: (passes, synchronous occlusion reads, clears) of the current
+        #: op's schedule that the depth and stencil caches elided — what
+        #: the debug-mode execution check subtracts.
+        self._elided = [0, 0, 0]
         self.fusion = fusion
         self.debug = debug
         #: Schedules statically verified so far (debug mode only);
@@ -527,7 +489,7 @@ class GpuEngine:
             self.sharded.release_context(context)
         self.contexts.release(context)
 
-    # -- TextureProvider protocol ------------------------------------------------
+    # -- textures ---------------------------------------------------------------
 
     def column_texture(self, name: str) -> tuple[Texture, float, int]:
         """Texture + depth scale + channel for one column.
@@ -681,6 +643,7 @@ class GpuEngine:
         """
         texture, scale, channel = self.column_texture(name)
         if self._depth_ready(name, texture):
+            self._elided[0] += 1
             return texture, scale, channel
         copy_to_depth(self.device, texture, scale, channel=channel)
         self.plan.depth.note(self.device, name, texture)
@@ -772,6 +735,7 @@ class GpuEngine:
     def _begin(self, op: str | None = None, **attrs) -> None:
         """Start a fresh stats window (and, when tracing, an op span)."""
         self.device.stats.reset()
+        self._elided = [0, 0, 0]
         tracer = self.device.tracer
         if tracer is not None:
             if self._op_span is not None and self._op_span.end_s is None:
@@ -799,7 +763,6 @@ class GpuEngine:
 
     # -- queries ----------------------------------------------------------------------
 
-    @_resilient
     def execute_schedule(self, schedule, *, jit: bool | None = None):
         """Run one compiled :class:`~repro.plan.PassSchedule` end to
         end — the single execution entry point every operation funnels
@@ -809,8 +772,10 @@ class GpuEngine:
         ...) all lower through :mod:`repro.plan.compiler` and call this
         method; SQL statements and the query service reach the device
         the same way.  That makes this the one choke point where the
-        static verifier (debug mode), the tracer span, the resilient
-        fault retry, and deadline cancellation all attach.
+        static verifier and the execution check (debug mode), the
+        tracer span, the resilient fault retry (:func:`run_resilient`,
+        attributed to ``schedule.op``), and deadline cancellation all
+        attach.
 
         Raises :class:`~repro.errors.QueryError` for a schedule whose op
         has no driver (:data:`repro.plan.executor.DRIVERS`; e.g. a
@@ -824,9 +789,9 @@ class GpuEngine:
         engine default), which is how the differential tests pin the
         JIT against the interpreter on identical schedules.
         """
-        # Runtime imports: repro.plan.executor and repro.shard reach
-        # back into repro.core at import time.
-        from ..plan.executor import DRIVERS, ScheduleExecutor
+        # Runtime import: repro.plan.executor reaches back into
+        # repro.core at import time.
+        from ..plan.executor import DRIVERS
 
         if schedule.op not in DRIVERS:
             raise QueryError(
@@ -839,6 +804,17 @@ class GpuEngine:
                 f"schedule for {schedule.op!r} carries no execution "
                 "payload; recompile it with repro.plan.compiler"
             )
+        return run_resilient(
+            self,
+            lambda: self._execute(schedule, jit),
+            op=schedule.op,
+            tracer=self.tracer,
+        )
+
+    def _execute(self, schedule, jit: bool | None):
+        """One attempt of :meth:`execute_schedule`."""
+        from ..plan.executor import ScheduleExecutor
+
         # Debug mode: statically verify before any pass executes.
         self._verify_schedule(schedule)
         if self.sharded is None:
@@ -850,17 +826,43 @@ class GpuEngine:
             executor = ShardedExecutor(self)
             devices = [shard.engine.device for shard in self.sharded.shards]
         if jit is None:
-            return executor.execute(schedule)
-        saved = [device.jit for device in devices]
-        for device in devices:
-            device.jit = bool(jit)
-        try:
-            return executor.execute(schedule)
-        finally:
-            for device, old in zip(devices, saved):
-                device.jit = old
+            result = executor.execute(schedule)
+        else:
+            saved = [device.jit for device in devices]
+            for device in devices:
+                device.jit = bool(jit)
+            try:
+                result = executor.execute(schedule)
+            finally:
+                for device, old in zip(devices, saved):
+                    device.jit = old
+        if self.debug and self.sharded is None:
+            self._check_execution(schedule, result)
+        return result
 
-    @_resilient
+    def _check_execution(self, schedule, result: GpuOpResult) -> None:
+        """Debug mode: the op issued exactly its schedule's rendering
+        passes, synchronous occlusion reads and stencil clears, less
+        what the depth and stencil caches elided.  Raises
+        :class:`~repro.errors.PlanVerificationError` naming the op."""
+        expected = tuple(
+            count - elided
+            for count, elided in zip(
+                pass_counts(schedule.nodes), self._elided
+            )
+        )
+        stats = result.stats
+        executed = (
+            stats.num_passes, stats.occlusion_results, stats.clears
+        )
+        if executed != expected:
+            raise PlanVerificationError(
+                f"{schedule.op} executed (passes, synchronous occlusion "
+                f"reads, clears) = {executed}, but its schedule less "
+                f"the cache elisions {tuple(self._elided)} allows "
+                f"{expected}"
+            )
+
     def select(self, predicate: Predicate) -> Selection:
         """Evaluate a WHERE clause; leaves the selection mask in the
         stencil buffer and returns count + statistics."""
@@ -889,64 +891,75 @@ class GpuEngine:
             )
         return column
 
-    def _selection_stencil(
-        self, predicate: Predicate | None
-    ) -> tuple[int | None, int]:
-        """Run the selection (if any); return (valid_stencil, valid_count).
+    def _selection_stencil(self, schedule) -> tuple[int | None, int]:
+        """Run the selection that opens ``schedule`` (if any); return
+        ``(valid_stencil, valid_count)``.
 
         The selection's passes land in the current stats window, so the
         caller's result includes the selection cost — matching the
         paper's figure 9 protocol.  When the plan cache proves the
         predicate's mask is still live in the stencil buffer (same
-        stencil generation, same source textures), the selection is
-        skipped outright and its cached count reused.
+        stencil generation, same source textures), the selection prefix
+        is skipped outright and its cached count reused.
         """
+        predicate = schedule.payload.get("predicate")
         if predicate is None:
             return None, self.relation.num_records
-        key = fingerprint = None
         if self.fusion:
-            key = predicate_key(predicate)
-            fingerprint = self._predicate_fingerprint(predicate)
             cached = self.plan.stencil.lookup(
-                self.device, key, fingerprint
+                self.device,
+                predicate_key(predicate),
+                self._predicate_fingerprint(predicate),
             )
             if cached is not None:
                 count, valid_stencil = cached
                 self.plan.stencil_hit(predicate, count)
+                length, _valid = schedule.selection
+                self._elided = [
+                    elided + skipped
+                    for elided, skipped in zip(
+                        self._elided, pass_counts(schedule.nodes[:length])
+                    )
+                ]
                 return valid_stencil, count
             self.plan.stencil_miss(predicate)
-        outcome = execute_selection(
-            self.device, self.relation, self, predicate
-        )
+        return self._walk_selection(schedule)
+
+    def _walk_selection(self, schedule) -> tuple[int, int]:
+        """Run ``schedule``'s selection prefix node by node and note the
+        mask it leaves in the stencil cache; return ``(valid_stencil,
+        count)``."""
+        length, valid_stencil = schedule.selection
+        count = sum(run_passes(self, schedule.nodes[:length]))
         if self.fusion:
+            predicate = schedule.payload["predicate"]
             self.plan.stencil.note(
                 self.device,
-                key,
-                fingerprint,
-                outcome.count,
-                outcome.valid_stencil,
+                predicate_key(predicate),
+                self._predicate_fingerprint(predicate),
+                count,
+                valid_stencil,
             )
-        return outcome.valid_stencil, outcome.count
+        return valid_stencil, count
 
     def prepare_search(
-        self,
-        column_name: str,
-        valid_stencil: int | None,
-        *,
-        ensure_mask: bool = False,
+        self, schedule, valid_stencil: int | None
     ) -> tuple[int | None, Texture]:
-        """Arm the device for an order-statistic search over
-        ``column_name`` after the selection left ``valid_stencil``:
-        the attribute in the depth buffer (copied only when the plan
-        cache cannot prove it is there) and the valid-stencil test set.
+        """Arm the device for ``schedule``'s order-statistic search
+        after its selection left ``valid_stencil``: the attribute in
+        the depth buffer and the valid-stencil test set.
 
-        ``ensure_mask`` (top-k) writes an all-valid mask when there is
-        no WHERE, because the mark pass needs one.  Returns the
-        ``(valid_stencil, texture)`` the search and mark passes use.
-        Single-device and per-shard drivers share this.
+        The copy runs unless the depth cache proves the attribute is
+        there — also when the lowering elided it: that elision assumed
+        the selection prefix ran, and a stencil-cache hit skips it.
+        Top-k writes an all-valid mask when there is no WHERE, because
+        its mark pass needs one.  Returns the ``(valid_stencil,
+        texture)`` the search and mark passes use.  Single-device and
+        per-shard drivers share this.
         """
         device = self.device
-        if ensure_mask and valid_stencil is None:
+        column_name = schedule.payload["column"]
+        if schedule.op == "top_k" and valid_stencil is None:
             # Drivers run this under the engine's active context (the
             # sharded layer on each shard's private device).
             # repro-lint: disable=unscheduled-stencil-write
@@ -954,6 +967,17 @@ class GpuEngine:
             valid_stencil = 1
         texture, scale, channel = self.column_texture(column_name)
         skip = self._depth_ready(column_name, texture)
+        length = schedule.selection[0] if schedule.selection else 0
+        scheduled = any(
+            isinstance(node, CopyDepthPass)
+            for node in schedule.nodes[length:]
+        )
+        if skip and scheduled:
+            self._elided[0] += 1
+        elif not skip and not scheduled:
+            # The lowering elided this copy, but the prefix it relied
+            # on was skipped: the copy runs beyond the schedule.
+            self._elided[0] -= 1
         aggregates.prepare_search(
             device, texture, scale,
             channel=channel, valid_stencil=valid_stencil, skip_copy=skip,
@@ -966,7 +990,6 @@ class GpuEngine:
     #: wrappers over :meth:`aggregate`.
     AGGREGATE_OPS = aggregates.AGGREGATE_OPS
 
-    @_resilient
     def aggregate(
         self,
         op: str,
@@ -1002,11 +1025,11 @@ class GpuEngine:
             )
 
         if op == "count":
-            if predicate is not None:
-                # A counted WHERE is exactly a selection.
-                return self.select(predicate)
+            # A counted WHERE is exactly a selection (its driver returns
+            # the Selection).
             return self.execute_schedule(compiler.lower_aggregate(
-                self.relation, "count", None, fuse=self.fusion
+                self.relation, "count", None, predicate=predicate,
+                fuse=self.fusion,
             ))
 
         if column_name is None:
@@ -1106,7 +1129,6 @@ class GpuEngine:
             "quantiles", column_name, predicate, fractions=fractions
         )
 
-    @_resilient
     def selectivities(
         self, predicates: list[Predicate]
     ) -> GpuOpResult:
@@ -1137,7 +1159,6 @@ class GpuEngine:
         )
         return self.execute_schedule(schedule)
 
-    @_resilient
     def histogram(
         self, column_name: str, buckets: int = 32
     ) -> GpuOpResult:

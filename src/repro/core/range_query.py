@@ -7,30 +7,14 @@ against an interval in one pass, so "the computational time ... is
 comparable to the time required in evaluating a single predicate"
 (section 4.2).  The depth-bounds path is the paper's headline 40x
 compute-only win (figure 4); the EvalCNF fallback is kept for the
-ablation benchmark.
+ablation benchmark.  A range selection lowers to a stencil clear, the
+copy-to-depth and this one quad (:mod:`repro.plan.compiler`).
 """
 
 from __future__ import annotations
 
 from ..errors import QueryError
 from ..gpu.pipeline import Device
-from ..gpu.texture import Texture
-from ..gpu.types import CompareFunc, StencilOp
-from .compare import copy_to_depth
-
-
-def setup_selection_stencil(device: Device, reference: int = 1) -> None:
-    """``SetupStencil``: clear the stencil to 0 and configure it so every
-    fragment that reaches the stencil stage and passes all later tests
-    stamps ``reference`` into the buffer."""
-    device.clear_stencil(0)
-    stencil = device.state.stencil
-    stencil.enabled = True
-    stencil.func = CompareFunc.ALWAYS
-    stencil.reference = reference
-    stencil.sfail = StencilOp.KEEP
-    stencil.zfail = StencilOp.KEEP
-    stencil.zpass = StencilOp.REPLACE
 
 
 def range_pass(
@@ -55,23 +39,3 @@ def range_pass(
     device.render_quad(low_depth, count=count)
     state.depth_bounds.enabled = False
 
-
-def range_select(
-    device: Device,
-    texture: Texture,
-    low_depth: float,
-    high_depth: float,
-    scale: float,
-    channel: int = 0,
-) -> int:
-    """Full routine 4.4 with an occlusion count.
-
-    Returns the number of records inside the range; the stencil buffer
-    holds 1 for selected records and 0 otherwise.
-    """
-    setup_selection_stencil(device)
-    copy_to_depth(device, texture, scale, channel=channel)
-    query = device.begin_query()
-    range_pass(device, low_depth, high_depth, texture.count)
-    device.end_query()
-    return query.result(synchronous=True)

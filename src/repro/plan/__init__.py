@@ -12,10 +12,11 @@ device:
   (:class:`ScheduleExecutor`, driven by
   ``GpuEngine.execute_schedule``).
 
-The deprecated ``repro.plan.runner`` shims were removed once their
-window passed; the former free functions live on as
-:class:`ScheduleExecutor` methods (``harvest`` / ``run_selectivities``
-/ ``run_histogram``).
+The nodes are the program: selections, selectivity sweeps, histograms
+and every aggregate's WHERE prefix run node by node through
+:func:`repro.core.select.run_passes`, so the verifier checks the passes
+the device executes.  The bit search, the Accumulator and the top-k
+mark are still driver loops.
 """
 
 from .cache import CacheStats, DepthCache, PlanCache, StencilCache
@@ -28,6 +29,7 @@ from .compiler import (
     lower_statement,
 )
 from .passes import (
+    ClearStencilPass,
     CompareQuadPass,
     CopyDepthPass,
     OcclusionCountPass,
@@ -35,6 +37,7 @@ from .passes import (
     PassSchedule,
     ShardFanout,
     StencilCNFPass,
+    StencilRule,
     predicate_columns,
     predicate_key,
 )
@@ -42,6 +45,7 @@ from .executor import ScheduleExecutor
 
 __all__ = [
     "CacheStats",
+    "ClearStencilPass",
     "CompareQuadPass",
     "CopyDepthPass",
     "DepthCache",
@@ -53,6 +57,7 @@ __all__ = [
     "ShardFanout",
     "StencilCache",
     "StencilCNFPass",
+    "StencilRule",
     "histogram_edges",
     "lower_aggregate",
     "lower_histogram",

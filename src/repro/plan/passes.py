@@ -2,16 +2,24 @@
 
 Every engine operation in the paper decomposes into the same three pass
 kinds — copy-to-depth, comparison quads, and occlusion-counted stencil
-passes — plus the occlusion-result harvest that is not a rendering pass
-at all but the pipeline stall the cost model charges.  A
-:class:`PassSchedule` makes that decomposition explicit *before* any
+passes — plus two non-rendering steps the cost model charges: the
+stencil clear that opens a selection and the occlusion-result harvest.
+A :class:`PassSchedule` makes that decomposition explicit *before* any
 device call, so redundant passes can be fused away (one copy-to-depth
 per column shared across CNF clauses, range endpoints and multi-query
 batches) and the result rendered to users via
 :meth:`PassSchedule.render_text` / ``Database.explain``.
 
+The nodes are the program: a selection, a selectivity sweep, a
+histogram and the WHERE prefix of every aggregate run node by node
+(:func:`repro.core.select.run_passes`), so each quad carries the simple
+predicate it evaluates and the full :class:`StencilRule` it renders
+under.
+
 Node kinds:
 
+* :class:`ClearStencilPass`   — clear the stencil buffer to one value
+  (``SetupStencil``; not a rendering pass);
 * :class:`CopyDepthPass`      — route one attribute into the depth buffer
   (routine 4.1 line 1; the overhead the paper isolates in figures 3-5);
 * :class:`CompareQuadPass`    — one screen quad evaluating a simple
@@ -44,6 +52,7 @@ from ..core.predicates import (
     SemiLinear,
 )
 from ..errors import QueryError
+from ..gpu.types import STENCIL_MAX, CompareFunc, StencilOp
 
 
 def predicate_key(predicate: Predicate) -> tuple:
@@ -123,6 +132,44 @@ def texture_resource(column: str) -> str:
 
 
 @dataclasses.dataclass(frozen=True)
+class StencilRule:
+    """The stencil test and update a pass renders under
+    (``glStencilFunc`` / ``glStencilMask`` / ``glStencilOp``); the
+    default is the stencil test off."""
+
+    enabled: bool = False
+    func: CompareFunc = CompareFunc.ALWAYS
+    reference: int = 0
+    mask: int = STENCIL_MAX
+    write_mask: int = STENCIL_MAX
+    sfail: StencilOp = StencilOp.KEEP
+    zfail: StencilOp = StencilOp.KEEP
+    zpass: StencilOp = StencilOp.KEEP
+
+
+#: The stencil test off: counting passes that leave the mask alone.
+STENCIL_OFF = StencilRule()
+
+
+@dataclasses.dataclass(frozen=True)
+class ClearStencilPass:
+    """Clear the stencil buffer to ``value`` — the ``SetupStencil`` that
+    opens every selection.  Not a rendering pass: the cost model
+    charges it as a clear."""
+
+    value: int
+
+    def describe(self) -> str:
+        return f"clear stencil to {self.value}"
+
+    def reads(self) -> frozenset[str]:
+        return frozenset()
+
+    def writes(self) -> frozenset[str]:
+        return frozenset({STENCIL})
+
+
+@dataclasses.dataclass(frozen=True)
 class CopyDepthPass:
     """One ``CopyToDepth`` rendering pass for ``column``."""
 
@@ -153,6 +200,11 @@ class CompareQuadPass:
     depth buffer — the Accumulator's alpha-test ``TestBit`` passes and
     the stencil-only COUNT(*) quad — so the verifier does not demand a
     preceding copy-to-depth for them.
+
+    ``predicate`` is the simple predicate the quad evaluates (``None``
+    on the COUNT(*) quad, which renders stencil-only, and on the
+    driver-run bit-search, ``TestBit`` and top-k quads); ``stencil``
+    is the rule it renders under.
     """
 
     column: str
@@ -160,6 +212,10 @@ class CompareQuadPass:
     detail: str = ""
     counted: bool = False
     depth_free: bool = False
+    predicate: Predicate | None = dataclasses.field(
+        default=None, compare=False
+    )
+    stencil: StencilRule = STENCIL_OFF
 
     @property
     def reads_depth(self) -> bool:
@@ -194,12 +250,14 @@ class StencilCNFPass:
 
     ``counted`` marks bookkeeping quads rendered inside an occlusion
     query: the DNF accept pass counts newly-satisfying records while it
-    flips their accept bit (see :func:`repro.core.boolean.eval_dnf`).
+    flips their accept bit (see :func:`repro.plan.compiler._dnf_nodes`).
+    ``stencil`` is the rule the quad renders under.
     """
 
     label: str
     clause: int | None = None
     counted: bool = False
+    stencil: StencilRule = STENCIL_OFF
 
     def describe(self) -> str:
         if self.clause is not None:
@@ -250,7 +308,27 @@ class OcclusionCountPass:
         return frozenset()
 
 
-PassNode = CopyDepthPass | CompareQuadPass | StencilCNFPass | OcclusionCountPass
+PassNode = (
+    ClearStencilPass
+    | CopyDepthPass
+    | CompareQuadPass
+    | StencilCNFPass
+    | OcclusionCountPass
+)
+
+
+def pass_counts(nodes) -> tuple[int, int, int]:
+    """``(rendering passes, synchronous occlusion reads, stencil
+    clears)`` that ``nodes`` issue when nothing is elided."""
+    passes = stalls = clears = 0
+    for node in nodes:
+        if isinstance(node, OcclusionCountPass):
+            stalls += node.stalls
+        elif isinstance(node, ClearStencilPass):
+            clears += 1
+        else:
+            passes += 1
+    return passes, stalls, clears
 
 
 @dataclasses.dataclass(frozen=True)
@@ -313,11 +391,17 @@ class PassSchedule:
     #: reads — an under-keyed cache would survive a texel update.
     cache_key: tuple[str, ...] | None = None
     #: Execution payload the schedule executor drives from (predicate
-    #: objects, bucket edges, k, fractions — the runtime arguments the
-    #: pass nodes only describe).  ``None`` on purely descriptive
-    #: schedules (e.g. whole-statement explain lowerings), which
-    #: :meth:`GpuEngine.execute_schedule` refuses to run.
+    #: objects, bucket edges, k, fractions, and for a selectivity sweep
+    #: the occlusion results each predicate's count sums).  ``None`` on
+    #: purely descriptive schedules (e.g. whole-statement explain
+    #: lowerings), which :meth:`GpuEngine.execute_schedule` refuses to
+    #: run.
     payload: dict | None = None
+    #: ``(length, valid_stencil)`` of the selection that opens the
+    #: schedule: ``nodes[:length]`` leave ``valid_stencil`` on the
+    #: selected records and their harvests sum to the match count.
+    #: ``None`` when the schedule opens with no selection.
+    selection: tuple[int, int] | None = None
     #: Sharded fan-out annotation (explain-only); ``None`` on the
     #: single-device path.
     fanout: ShardFanout | None = None
@@ -330,20 +414,17 @@ class PassSchedule:
 
     @property
     def render_passes(self) -> int:
-        """Rendering passes in the schedule (harvests excluded)."""
-        return sum(
-            1
-            for node in self.nodes
-            if not isinstance(node, OcclusionCountPass)
-        )
+        """Rendering passes in the schedule (clears and harvests
+        excluded)."""
+        return pass_counts(self.nodes)[0]
 
     @property
     def stalls(self) -> int:
-        return sum(
-            node.stalls
-            for node in self.nodes
-            if isinstance(node, OcclusionCountPass)
-        )
+        return pass_counts(self.nodes)[1]
+
+    @property
+    def clears(self) -> int:
+        return pass_counts(self.nodes)[2]
 
     def columns_read(self) -> frozenset[str]:
         """Every column whose attribute texture the schedule reads —

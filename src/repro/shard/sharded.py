@@ -56,6 +56,7 @@ from ..core.engine import (
     GpuOpResult,
     Selection,
     TopK,
+    run_resilient,
     split_copy_stats,
 )
 from ..errors import (
@@ -317,9 +318,8 @@ class _ShardState:
     """Per-shard mutable state for one fanned-out operation."""
 
     shard: Shard
-    op: str
-    column_name: str | None = None
-    predicate: object = None
+    #: The parent's schedule: each shard walks its selection prefix.
+    schedule: Any
     #: True while the shard's GPU holds the prepared selection mask and
     #: depth copy; cleared by faults so retries rebuild both.
     prepared: bool = False
@@ -330,6 +330,18 @@ class _ShardState:
     #: stored values and the selection mask (None without a WHERE).
     cpu_values: np.ndarray | None = None
     cpu_mask: np.ndarray | None = None
+
+    @property
+    def op(self) -> str:
+        return self.schedule.op
+
+    @property
+    def column_name(self) -> str:
+        return self.schedule.payload["column"]
+
+    @property
+    def predicate(self) -> Any:
+        return self.schedule.payload.get("predicate")
 
 
 class ShardedExecutor:
@@ -356,7 +368,7 @@ class ShardedExecutor:
 
     _DRIVERS = {
         "select": "_run_select",
-        "count": "_run_fold",
+        "count": "_run_count",
         "sum": "_run_fold",
         "selectivities": "_run_fold",
         "histogram": "_run_fold",
@@ -480,28 +492,10 @@ class ShardedExecutor:
     def _resilient(
         self, shard: Shard, fn: Callable, op: str
     ) -> Any:
-        """The shard-task twin of ``GpuEngine._resilient``: per-attempt
-        abort of dangling occlusion queries, plan invalidation on
-        faults, resilient-executor retries when one is attached."""
-        engine = shard.engine
-
-        def attempt() -> Any:
-            engine.device.abort_query()
-            try:
-                return fn()
-            except GpuError:
-                engine.plan.invalidate()
-                raise
-            except QueryTimeoutError:
-                engine.device.abort_query()
-                engine.plan.invalidate()
-                raise
-
-        executor = engine.executor
-        if executor is None:
-            return attempt()
-        return executor.run(
-            attempt, op=f"{shard.name}:{op}", tracer=None
+        """One shard task through :func:`run_resilient` on the shard's
+        engine, attributed to ``shard-<i>:<op>``."""
+        return run_resilient(
+            shard.engine, fn, op=f"{shard.name}:{op}", tracer=None
         )
 
     def _guarded(self, state: _ShardState, body: Callable) -> Any:
@@ -613,6 +607,13 @@ class ShardedExecutor:
             degraded_shards=tuple(sorted(self._degraded_snapshot())),
         )
 
+    def _run_count(self, schedule: Any) -> Any:
+        """COUNT with a WHERE is the sharded selection; COUNT(*)
+        folds."""
+        if schedule.payload["predicate"] is not None:
+            return self._run_select(schedule)
+        return self._run_fold(schedule)
+
     def _run_fold(self, schedule: Any) -> Any:
         """count, sum, selectivities, histogram: every shard runs the
         parent's schedule; the host folds the partial values."""
@@ -657,10 +658,7 @@ class ShardedExecutor:
         predicate = schedule.payload.get("predicate")
         column = self.engine.relation.column(column_name)
         states = {
-            shard.index: _ShardState(
-                shard, "average",
-                column_name=column_name, predicate=predicate,
-            )
+            shard.index: _ShardState(shard, schedule)
             for shard in self.pool.shards
         }
 
@@ -669,9 +667,7 @@ class ShardedExecutor:
             # empty shard legitimately contributes (0, 0).
             body = ScheduleExecutor(shard.engine)
             return self._resilient(
-                shard,
-                lambda: body.stored_sum(column_name, predicate),
-                "average",
+                shard, lambda: body.stored_sum(schedule), "average"
             )
 
         def cpu(shard: Shard) -> Any:
@@ -701,10 +697,10 @@ class ShardedExecutor:
         faults re-run it from scratch."""
         engine = state.shard.engine
         valid, state.valid_count = engine._selection_stencil(
-            state.predicate
+            state.schedule
         )
         state.valid, state.texture = engine.prepare_search(
-            state.column_name, valid, ensure_mask=state.op == "top_k"
+            state.schedule, valid
         )
         state.prepared = True
 
@@ -796,11 +792,7 @@ class ShardedExecutor:
         column_name = payload["column"]
         column = self.engine.relation.column(column_name)
         states = {
-            shard.index: _ShardState(
-                shard, op,
-                column_name=column_name,
-                predicate=payload.get("predicate"),
-            )
+            shard.index: _ShardState(shard, schedule)
             for shard in self.pool.shards
         }
         total_valid = self._prepare_all(states)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import aggregates
-from repro.core.range_query import setup_selection_stencil
 from repro.errors import QueryError
 from repro.gpu import CompareFunc, Device, StencilOp, Texture
 
@@ -24,7 +23,12 @@ def _setup(values):
 
 def _mask_stencil(device, texture, mask):
     """Stamp a selection mask (stencil=1 where mask) via real passes."""
-    setup_selection_stencil(device, reference=1)
+    device.clear_stencil(0)
+    stencil = device.state.stencil
+    stencil.enabled = True
+    stencil.func = CompareFunc.ALWAYS
+    stencil.reference = 1
+    stencil.zpass = StencilOp.REPLACE
     values = np.where(mask, 1.0, 0.0)
     masked = Texture.from_values(values, shape=texture.shape)
     from repro.core.compare import compare

@@ -1,4 +1,5 @@
-"""Routine 4.3 (EvalCNF): stencil invariants and CNF semantics."""
+"""Routine 4.3 (EvalCNF): stencil invariants and CNF semantics, through
+the lowered CNF nodes the pass walker runs."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Column, GpuEngine, Relation
-from repro.core.boolean import eval_cnf
 from repro.core.predicates import (
     And,
     Between,
@@ -16,8 +16,9 @@ from repro.core.predicates import (
     SemiLinear,
     to_cnf,
 )
-from repro.core.select import _SimpleExecutor
+from repro.core.select import run_passes
 from repro.gpu.types import CompareFunc
+from repro.plan.compiler import _cnf_nodes, _FusionTracker
 
 
 def _relation(seed=11, records=300):
@@ -32,13 +33,16 @@ def _relation(seed=11, records=300):
     )
 
 
+def _eval_cnf(engine, clauses):
+    """Lower ``clauses`` to EvalCNF nodes and walk them: returns the
+    stencil value the nodes leave on matches and the match count."""
+    nodes, valid = _cnf_nodes(clauses, _FusionTracker(engine.fusion))
+    return valid, sum(run_passes(engine, nodes))
+
+
 def _run_cnf(relation, predicate):
     engine = GpuEngine(relation)
-    clauses = to_cnf(predicate)
-    executor = _SimpleExecutor(relation, engine)
-    valid, count = eval_cnf(
-        engine.device, clauses, executor, relation.num_records
-    )
+    valid, count = _eval_cnf(engine, to_cnf(predicate))
     stencil = engine.device.framebuffer.stencil.values[
         : relation.num_records
     ]
@@ -99,10 +103,7 @@ class TestEvalCnf:
     def test_empty_clause_list_selects_everything(self):
         relation = _relation()
         engine = GpuEngine(relation)
-        executor = _SimpleExecutor(relation, engine)
-        valid, count = eval_cnf(
-            engine.device, [], executor, relation.num_records
-        )
+        valid, count = _eval_cnf(engine, [])
         assert count == relation.num_records
         assert valid == 1
 
@@ -139,13 +140,7 @@ class TestEvalCnf:
             Comparison("a", CompareFunc.LESS, 200),
         )
         engine.device.stats.reset()
-        executor = _SimpleExecutor(relation, engine)
-        eval_cnf(
-            engine.device,
-            to_cnf(predicate),
-            executor,
-            relation.num_records,
-        )
+        _eval_cnf(engine, to_cnf(predicate))
         copies = [
             p
             for p in engine.device.stats.passes

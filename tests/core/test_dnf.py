@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Column, CpuEngine, GpuEngine, Relation, col
-from repro.core.boolean import DNF_VALID_STENCIL, eval_dnf
 from repro.core.predicates import (
     And,
     Between,
@@ -15,9 +14,22 @@ from repro.core.predicates import (
     Or,
     to_dnf,
 )
-from repro.core.select import _SimpleExecutor, choose_normal_form
+from repro.core.select import run_passes
 from repro.errors import QueryError, RenderStateError
 from repro.gpu import CompareFunc, Device, StencilOp
+from repro.plan.compiler import (
+    DNF_VALID_STENCIL,
+    _dnf_nodes,
+    _FusionTracker,
+    choose_normal_form,
+)
+
+
+def _eval_dnf(engine, clauses):
+    """Lower ``clauses`` to EvalDNF nodes and walk them: returns the
+    stencil value the nodes leave on matches and the match count."""
+    nodes, valid = _dnf_nodes(clauses, _FusionTracker(engine.fusion))
+    return valid, sum(run_passes(engine, nodes))
 
 
 def _relation(seed=11, records=300):
@@ -72,11 +84,7 @@ class TestStencilWriteMask:
 class TestEvalDnf:
     def _run(self, relation, predicate):
         engine = GpuEngine(relation)
-        clauses = to_dnf(predicate)
-        executor = _SimpleExecutor(relation, engine)
-        valid, count = eval_dnf(
-            engine.device, clauses, executor, relation.num_records
-        )
+        valid, count = _eval_dnf(engine, to_dnf(predicate))
         stencil = engine.device.framebuffer.stencil.values[
             : relation.num_records
         ]
@@ -110,10 +118,7 @@ class TestEvalDnf:
     def test_empty_clause_list(self):
         relation = _relation()
         engine = GpuEngine(relation)
-        executor = _SimpleExecutor(relation, engine)
-        valid, count = eval_dnf(
-            engine.device, [], executor, relation.num_records
-        )
+        valid, count = _eval_dnf(engine, [])
         assert count == 0
         assert np.all(
             engine.device.framebuffer.stencil.values == 0
@@ -235,7 +240,7 @@ class TestNormalFormChoice:
         # Construct something that explodes CNF; DNF may or may not
         # survive — only assert the selector never returns silently
         # wrong structure.
-        from repro.core.select import choose_normal_form as choose
+        from repro.plan.compiler import choose_normal_form as choose
 
         try:
             form, clauses = choose(predicate)

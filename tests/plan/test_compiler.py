@@ -123,9 +123,11 @@ class TestLowerAggregate:
         unfused = lower_aggregate(
             relation, "sum", "data_count", fuse=False
         )
-        bits = relation.column("data_count").bits
+        # The Accumulator pipelines its queries with or without fusion
+        # (routine 4.6): one stall for all the bits, as it executes.
         assert fused.stalls == 1
-        assert unfused.stalls == bits
+        assert unfused.stalls == 1
+        assert unfused.render_passes == relation.column("data_count").bits
 
     def test_selection_cached_skips_the_where_lowering(self, relation):
         predicate = Comparison("data_count", CompareFunc.GEQUAL, 1000)
