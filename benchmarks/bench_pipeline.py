@@ -16,13 +16,19 @@ index of surviving depth codes) and cold (the stencil generation moved
 before every round, so every round runs the stages), and a whole
 Routine 4.5 search — one copy and 20 counts over fresh codes — shows
 what the index saves per order statistic.
+
+The ``fixed-cost`` group prices what a pass costs beyond its fragments:
+a warm ``TestBit`` pass, a warm copy-to-depth pass, a selection's mark
+pass and a depth-bounds range pass, each over 2^16 fragments plus a
+partial row (a ``count=`` quad of two rects) and over one fragment.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.aggregates import accumulator_state, kth_largest
-from repro.core.compare import copy_to_depth
+from repro.core.compare import compare_pass, copy_to_depth
+from repro.core.range_query import range_pass
 from repro.gpu import CompareFunc, Device, StencilOp, Texture
 from repro.gpu.programs import test_bit_program as bit_program
 from repro.gpu.types import DEPTH_MAX_CODE
@@ -230,3 +236,89 @@ def test_eval_cnf_incr_pass(benchmark, device):
     stats = device.stats.passes[-1]
     benchmark.extra_info["fragments"] = stats.fragments
     benchmark.extra_info["passed"] = stats.passed
+
+
+#: The fixed-cost cases' screen: 256 rows of 256 pixels and a 257th
+#: that a count quad of 2^16 fragments plus a 100-pixel tail covers in
+#: part, and one fragment.
+FIXED_SHAPE = (257, 256)
+FIXED_COUNTS = {"2^16+tail": (1 << 16) + 100, "one": 1}
+
+
+@pytest.fixture
+def fixed_device():
+    device = Device(*FIXED_SHAPE, jit=True)
+    rng = np.random.default_rng(2004)
+    fb = device.framebuffer
+    fb.stencil.values[:] = rng.integers(0, 2, fb.num_pixels)
+    fb.depth.codes[:] = rng.integers(0, DEPTH_MAX_CODE + 1, fb.num_pixels)
+    device.state.color_mask = (False, False, False, False)
+    return device
+
+
+def _fixed_texture(count):
+    rng = np.random.default_rng(13)
+    texture = Texture(
+        rng.integers(0, 1 << 20, FIXED_SHAPE).astype(np.float32)
+    )
+    texture.count = count
+    return texture
+
+
+def _mark_state(device):
+    """A selection's stencil rule: ``zpass REPLACE 1`` on the passing
+    fragments."""
+    stencil = device.state.stencil
+    stencil.enabled = True
+    stencil.func = CompareFunc.ALWAYS
+    stencil.reference = 1
+    stencil.zpass = StencilOp.REPLACE
+
+
+_fixed_counts = pytest.mark.parametrize(
+    "count", list(FIXED_COUNTS.values()), ids=list(FIXED_COUNTS)
+)
+
+
+@pytest.mark.benchmark(group="fixed-cost")
+@_fixed_counts
+def test_fixed_cost_test_bit(benchmark, fixed_device, count):
+    """A warm ``TestBit`` pass: the stage memo serves the alpha test."""
+    texture = _fixed_texture(count)
+    _pass_stats(
+        benchmark, fixed_device, _test_bit_pass(fixed_device, texture)
+    )
+
+
+@pytest.mark.benchmark(group="fixed-cost")
+@_fixed_counts
+def test_fixed_cost_copy_to_depth(benchmark, fixed_device, count):
+    """A warm copy-to-depth pass: the stage memo serves the codes."""
+    texture = _fixed_texture(count)
+    _pass_stats(benchmark, fixed_device, _copy_pass(fixed_device, texture))
+
+
+@pytest.mark.benchmark(group="fixed-cost")
+@_fixed_counts
+def test_fixed_cost_mark(benchmark, fixed_device, count):
+    """A selection's comparison quad (routine 4.1): depth ``GEQUAL``
+    against the stored attribute, ``zpass REPLACE``."""
+    _mark_state(fixed_device)
+    _pass_stats(
+        benchmark,
+        fixed_device,
+        lambda: compare_pass(fixed_device, CompareFunc.GEQUAL, 0.5, count),
+    )
+
+
+@pytest.mark.benchmark(group="fixed-cost")
+@_fixed_counts
+def test_fixed_cost_range(benchmark, fixed_device, count):
+    """A range selection's depth-bounds quad (routine 4.4),
+    ``zpass REPLACE``."""
+    _mark_state(fixed_device)
+    _pass_stats(
+        benchmark,
+        fixed_device,
+        lambda: range_pass(fixed_device, 0.25, 0.75, count),
+    )

@@ -58,21 +58,34 @@ def depth_to_code(
     return out
 
 
-def quad_depth_code(depth: float) -> int:
-    """:func:`depth_to_code` of one quad depth in ``[0, 1]``, in plain
-    Python: bit-exact with ``depth_to_code(np.float32(depth))``.
+def scalar_depth_code(depth: float) -> int:
+    """:func:`depth_to_code` of one depth, in plain Python: bit-exact
+    with ``depth_to_code(depth)`` for a float, which quantizes through
+    float64.
 
-    The depth is rounded to float32 (a ``struct`` round trip rounds to
-    nearest), scaled by ``2**24`` (exact in double precision), clamped
-    and truncated, with no numpy call: a pass quantizes its single quad
-    depth this way.  NaN is code 0, as in :func:`depth_to_code`.
+    The depth is scaled by ``2**24`` (exact in double precision, and
+    +inf past its range), clamped and truncated, with no numpy call: a
+    pass quantizes its depth bounds this way.  NaN is code 0, as in
+    :func:`depth_to_code`.
     """
-    scaled = _FLOAT32.unpack(_FLOAT32.pack(depth))[0] * _DEPTH_SCALE
+    scaled = float(depth) * _DEPTH_SCALE
     if not scaled > 0.0:
         return 0
     if scaled >= DEPTH_MAX_CODE:
         return DEPTH_MAX_CODE
     return int(scaled)
+
+
+def quad_depth_code(depth: float) -> int:
+    """:func:`depth_to_code` of one quad depth in ``[0, 1]``, in plain
+    Python: bit-exact with ``depth_to_code(np.float32(depth))``.
+
+    The depth is rounded to float32 (a ``struct`` round trip rounds to
+    nearest), then quantized by :func:`scalar_depth_code` (scaling a
+    float32 by ``2**24`` is exact in either precision): a pass
+    quantizes its single quad depth this way.
+    """
+    return scalar_depth_code(_FLOAT32.unpack(_FLOAT32.pack(depth))[0])
 
 
 def code_to_depth(code: np.ndarray) -> np.ndarray:
@@ -169,6 +182,17 @@ class FrameBuffer:
             color=self.color.data.reshape(shape + (4,))[rows, cols],
             depth=self.depth.codes.reshape(shape)[rows, cols],
             stencil=self.stencil.values.reshape(shape)[rows, cols],
+        )
+
+    def prefix(self, count: int) -> Region:
+        """The views of every buffer over its first ``count`` pixels in
+        row-major order, as one ``(1, count)`` row: a contiguous run
+        whose ravel order is the order a screen quad generates them
+        (see :class:`repro.gpu.raster.Span`)."""
+        return Region(
+            color=self.color.data[:count].reshape(1, count, 4),
+            depth=self.depth.codes[:count].reshape(1, count),
+            stencil=self.stencil.values[:count].reshape(1, count),
         )
 
     def clear(

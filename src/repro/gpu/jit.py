@@ -25,12 +25,15 @@ Two cache layers:
   mask)`` holds the liveness-pruned instruction list — the part of
   compilation independent of bound resources;
 * a per-device :class:`KernelCache` (LRU) holds bound kernels keyed by
-  program text, live mask, the ``(id, generation)`` of every texture
-  the program samples, and the bytes of every parameter row it reads.
-  The key mirrors the plan-cache invalidation rules: a retried fault,
-  a context switch, a texel upload or a parameter change can never
-  replay a stale compiled kernel — the changed generation or bytes
-  miss the cache and force a fresh bind.
+  program text, live mask, the id of every texture the program
+  samples, and the bytes of every parameter row it reads; each kernel
+  records the generations of the texels it was bound or last refreshed
+  over.  The key mirrors the plan-cache invalidation rules: a retried
+  fault, a context switch, a texel upload or a parameter change can
+  never replay a stale compiled kernel.  Changed bytes or another
+  texture miss the cache and force a fresh bind; changed texels only
+  (a moved generation) miss too, and *refresh* the kernel in place —
+  its steps read the live texels, so only its stage memo is dropped.
 
 Under them, two memos that hold no float output of a program: the
 cache's texel runs, which make aligned ``TEX`` fetches read-only views
@@ -103,7 +106,7 @@ _DEPTH_COMPONENT = 2
 _TEX_MEMO_CAP = 64
 
 #: Cap on one kernel's stage memo entries (see :meth:`BoundKernel.derived`):
-#: a geometry token per quad rect times the stage inputs derived there.
+#: a geometry token per quad geometry times the stage inputs derived there.
 _STAGE_MEMO_CAP = 4
 
 #: Bytes of stage memos a :class:`KernelCache` keeps across its kernels
@@ -642,7 +645,8 @@ class BoundKernel:
         #: dict) keyed ``(coordinate operand, texture height, texture
         #: width, geometry token)``; see ``_make_tex``.
         self.tex_memo: dict = tex_memo if tex_memo is not None else {}
-        #: The sampled textures and their generations at bind time.
+        #: The sampled textures and their generations at bind time (or
+        #: at the last :meth:`refresh`).
         self._sampled = tuple(
             (textures[unit], textures[unit].generation)
             for unit in compiled.texture_units
@@ -667,12 +671,26 @@ class BoundKernel:
 
     @property
     def stale(self) -> bool:
-        """True once a sampled texture's texels changed since binding:
-        the cache key can never match this kernel again."""
+        """True once a sampled texture's texels changed since binding
+        (or the last :meth:`refresh`): the stage memo no longer holds
+        for them."""
         for texture, generation in self._sampled:
             if texture.generation != generation:
                 return True
         return False
+
+    def refresh(self) -> None:
+        """Rebind over the sampled textures' current texels.
+
+        Nothing the steps hold depends on texel contents: parameters
+        are baked in, and ``TEX`` reads the live texture (a texel-run
+        view or a gather per pass).  Only the stage memo, derived from
+        the old texels, is dropped, and the new generations recorded.
+        """
+        self._sampled = tuple(
+            (texture, texture.generation) for texture, _ in self._sampled
+        )
+        self.drop_memo()
 
     def memoizes(self, batch: FragmentBatch) -> bool:
         """True when :meth:`derived` memoizes over ``batch``: the kernel
@@ -741,11 +759,14 @@ class BoundKernel:
 class KernelCache:
     """Per-device LRU of bound kernels.
 
-    The key — program text, live mask, every sampled texture's
-    ``(id, generation)``, the bytes of every parameter row read —
-    mirrors the plan-cache invalidation rules: content changes rotate
-    the key, so a retried fault or context switch can never replay a
-    stale kernel.
+    The key — program text, live mask, every sampled texture's id, the
+    bytes of every parameter row read — mirrors the plan-cache
+    invalidation rules: changed bytes or textures rotate the key, so a
+    retried fault or context switch can never replay a stale kernel.  A
+    kernel whose key matches but whose texels moved on (a sampled
+    texture's generation changed) is a miss that refreshes the kernel
+    in place (:meth:`BoundKernel.refresh`), counted in ``refreshes``,
+    instead of a new bind.
     """
 
     def __init__(self, capacity: int = 64):
@@ -754,7 +775,10 @@ class KernelCache:
         #: Shared geometry-keyed texel-run memo (see ``_make_tex``).
         self.tex_memo: dict = {}
         self.hits = 0
+        #: Lookups that found no kernel current for their texels: the
+        #: binds plus the ``refreshes``.
         self.misses = 0
+        self.refreshes = 0
         self.evictions = 0
         self.program_compiles = 0
 
@@ -770,7 +794,7 @@ class KernelCache:
     ) -> tuple:
         compiled = compile_program(program, live)
         tex_key = tuple(
-            (unit, textures[unit].id, textures[unit].generation)
+            (unit, textures[unit].id)
             for unit in compiled.texture_units
             if textures.get(unit) is not None
         )
@@ -794,11 +818,16 @@ class KernelCache:
         key = self.key_for(program, live, textures, parameters)
         kernel = self._kernels.get(key)
         if kernel is not None:
-            self.hits += 1
             self._kernels.move_to_end(key)
+            if kernel.stale:
+                self.misses += 1
+                self.refreshes += 1
+                kernel.refresh()
+            else:
+                self.hits += 1
             return kernel
         self.misses += 1
-        self._drop_stale()
+        self._trim_memos()
         kernel = BoundKernel(
             compile_program(program, live),
             dict(textures),
@@ -816,12 +845,14 @@ class KernelCache:
         """Bytes the kernels' stage memos hold."""
         return sum(kernel.memo_bytes for kernel in self._kernels.values())
 
-    def _drop_stale(self) -> None:
-        """Drop kernels bound over texels that have since changed — no
-        key can match them again — and, oldest first, the stage memos
-        that take the rest past ``_STAGE_MEMO_BUDGET``."""
-        for key in [k for k, v in self._kernels.items() if v.stale]:
-            del self._kernels[key]
+    def _trim_memos(self) -> None:
+        """Drop the stage memos of kernels whose texels have since
+        changed — they hold for the old texels only, and a lookup would
+        refresh the kernel anyway — and, oldest first, the memos that
+        take the rest past ``_STAGE_MEMO_BUDGET``."""
+        for kernel in self._kernels.values():
+            if kernel.stale:
+                kernel.drop_memo()
         excess = self.memo_bytes - _STAGE_MEMO_BUDGET
         for kernel in self._kernels.values():
             if excess <= 0:

@@ -39,7 +39,13 @@ from ..errors import (
 from ..faults import SITE_PASS, SITE_READBACK, check_deadline, maybe_inject
 from .assembler import FragmentProgram
 from .counters import PassStats, PipelineStats
-from .framebuffer import FrameBuffer, depth_to_code, quad_depth_code
+from .framebuffer import (
+    FrameBuffer,
+    Region,
+    depth_to_code,
+    quad_depth_code,
+    scalar_depth_code,
+)
 from .interpreter import (
     FragmentAttrib,
     FragmentBatch,
@@ -51,7 +57,7 @@ from .jit import BoundKernel, KernelCache, live_color
 from .isa import NUM_PARAMETERS, NUM_TEXTURE_UNITS
 from .memory import VideoMemory
 from .occlusion import OcclusionQuery
-from .raster import Rect, full_screen, rasterize_rect, rects_for_count
+from .raster import Rect, Span, rasterize_rect, rects_for_count
 from .state import RenderState
 from .texture import Texture
 from .types import CompareFunc, StencilOp
@@ -134,25 +140,29 @@ def _mapped_codes(size: int) -> np.ndarray:
 
 #: Fragments an index rebuild gathers per ``np.compress`` call.  The
 #: call builds an ``int64`` index of what it selects; over a whole
-#: 2^20-pixel rect that is up to 8 MB, numpy asks the kernel for huge
+#: 2^20-pixel span that is up to 8 MB, numpy asks the kernel for huge
 #: pages for it, and peak RSS at a fixed 2000 ``paper_olap`` ops then
 #: varied from run to run by 20 MB.  A block bounds it at 512 KB.
 _GATHER_BLOCK = 1 << 16
 
-#: How many rects keep a count index.  A count quad covers at most two
-#: rects (:func:`~repro.gpu.raster.rects_for_count`).
+#: How many quad geometries (spans, or explicit rects) keep a count
+#: index.
 COUNT_INDEX_RECTS = 4
+
+#: A quad's coverage: the :class:`Span` of a ``count=`` or full-screen
+#: quad, or an explicit :class:`Rect`.
+Geometry = Rect | Span
 
 
 class _CountIndex:
-    """One rect's answer to count-only passes: the number of fragments
-    that pass the stencil test and, once a pass compares depth, their
-    stored depth codes in sorted order.
+    """One quad geometry's answer to count-only passes: the number of
+    fragments that pass the stencil test and, once a pass compares
+    depth, their stored depth codes in sorted order.
 
     ``key`` names the buffers and stencil test the answer holds for;
     ``seen`` is the key of the last pass that did not find it (the
     index is built on the second pass with one key).  ``buffer`` holds
-    ``uint32`` codes for every pixel of the rect; it is mapped once
+    ``uint32`` codes for every pixel of the geometry; it is mapped once
     (:func:`_mapped_codes`) and every rebuild sorts in place in a prefix
     of it.
     """
@@ -168,7 +178,7 @@ class _CountIndex:
 
 
 class _FragmentOutputs:
-    """Stage 1's outputs over one rect, for the stages that read them.
+    """Stage 1's outputs over one quad, for the stages that read them.
 
     ``result`` is the program's :class:`ProgramResult`.  A kernel that
     memoizes (:meth:`~repro.gpu.jit.BoundKernel.memoizes`) runs only
@@ -250,9 +260,9 @@ class Device:
         self._parameters = np.zeros((NUM_PARAMETERS, 4), dtype=np.float32)
         self._active_query: OcclusionQuery | None = None
         self._pass_counter = 0
-        #: Count-only passes' indexes, one per rect, least recently
-        #: used first (see :meth:`_indexed_count`).
-        self._count_indexes: dict[Rect, _CountIndex] = {}
+        #: Count-only passes' indexes, one per quad geometry, least
+        #: recently used first (see :meth:`_indexed_count`).
+        self._count_indexes: dict[Geometry, _CountIndex] = {}
 
     # -- resource binding ----------------------------------------------------
 
@@ -440,7 +450,10 @@ class Device:
         ``rect`` restricts the quad to a pixel rectangle; ``count``
         restricts it to the first *count* pixels in row-major order
         (realized as at most two rects — hardware cannot rasterize
-        arbitrary pixel sets).
+        arbitrary pixel sets).  The pass records those rects, and shades
+        them as the one :class:`~repro.gpu.raster.Span` they cover: the
+        same fragments in the same order, so the same buffers and
+        ``PassStats``, from one batch.
         """
         # Cooperative cancellation: the installed per-query deadline is
         # enforced at pass boundaries, never mid-pass, so an expired
@@ -454,12 +467,14 @@ class Device:
                 f"quad depth {depth} outside the valid range [0, 1]"
             )
         fb = self.framebuffer
-        if count is not None:
-            rects = rects_for_count(count, fb.width, fb.height)
-        elif rect is not None:
+        if rect is not None:
+            geometry: Geometry = rect
             rects = [rect]
         else:
-            rects = [full_screen(fb.height, fb.width)]
+            if count is None:
+                count = fb.num_pixels
+            rects = rects_for_count(count, fb.width, fb.height)
+            geometry = Span(count)
         # The (up to two) rects covering a record range are drawn in one
         # pass: same state, back-to-back draw calls, one pipeline drain.
         if sanitize.enabled():
@@ -471,8 +486,8 @@ class Device:
         )
         tracer = self.tracer
         started = time.perf_counter() if tracer is not None else 0.0
-        for r in rects:
-            self._draw(r, depth, color, stats)
+        if rects:
+            self._draw(geometry, depth, color, stats)
         self.stats.record_pass(stats)
         if tracer is not None:
             tracer.record_pass(
@@ -538,12 +553,12 @@ class Device:
     # -- the per-fragment pipeline ------------------------------------------------
 
     def _draw(
-        self, rect: Rect, depth: float, color, stats: PassStats
+        self, geometry: Geometry, depth: float, color, stats: PassStats
     ) -> None:
         self.state.validate()
-        live = self._indexed_count(rect, depth, color, stats)
+        live = self._indexed_count(geometry, depth, color, stats)
         if live is None:
-            live = self._shade(rect, depth, color, stats)
+            live = self._shade(geometry, depth, color, stats)
         if self._active_query is not None and self._active_query.active:
             self._active_query._add(live)
 
@@ -569,10 +584,17 @@ class Device:
             )
         )
 
+    def _region(self, geometry: Geometry) -> Region:
+        """The buffer views a pass over ``geometry`` reads and writes;
+        their row-major ravel order is its fragment order."""
+        if isinstance(geometry, Span):
+            return self.framebuffer.prefix(geometry.count)
+        return self.framebuffer.region(geometry)
+
     def _indexed_count(
-        self, rect: Rect, depth: float, color, stats: PassStats
+        self, geometry: Geometry, depth: float, color, stats: PassStats
     ) -> int | None:
-        """A count-only pass over ``rect`` answered from the rect's
+        """A count-only pass over ``geometry`` answered from its
         :class:`_CountIndex`: the fragments that pass, with ``stats``
         updated as the stages would.  None when the pass is not
         count-only or the index does not hold its key yet; the caller
@@ -598,12 +620,12 @@ class Device:
             else None,
         )
         indexes = self._count_indexes
-        index = indexes.pop(rect, None)
+        index = indexes.pop(geometry, None)
         if index is None:
             index = _CountIndex()
             if len(indexes) >= COUNT_INDEX_RECTS:
                 del indexes[next(iter(indexes))]
-        indexes[rect] = index
+        indexes[geometry] = index
         if index.key != key:
             if index.seen != key:
                 index.seen = key
@@ -616,12 +638,14 @@ class Device:
             func = state.depth.func
         sort = func is not CompareFunc.ALWAYS and func is not CompareFunc.NEVER
         if index.survivors is None or (sort and index.codes is None):
-            self._build_count_index(index, rect, tested, sort)
-        fragments = rect.num_pixels
+            self._build_count_index(index, geometry, tested, sort)
+        fragments = geometry.num_pixels
         survivors = index.survivors
         passed = _depth_passing(func, survivors, index.codes, depth)
         if sanitize.enabled():
-            self._audit_count(rect, depth, color, key, survivors, passed)
+            self._audit_count(
+                geometry, depth, color, key, survivors, passed
+            )
         stats.fragments += fragments
         stats.stencil_failed += fragments - survivors
         stats.depth_failed += survivors - passed
@@ -629,20 +653,22 @@ class Device:
         return passed
 
     def _build_count_index(
-        self, index: _CountIndex, rect: Rect, tested: bool, sort: bool
+        self, index: _CountIndex, geometry: Geometry, tested: bool,
+        sort: bool,
     ) -> None:
-        """Count ``rect``'s stencil survivors into ``index`` and, with
-        ``sort``, gather their stored codes into a prefix of its buffer
-        and sort them there."""
-        region = self.framebuffer.region(rect)
+        """Count ``geometry``'s stencil survivors into ``index`` and,
+        with ``sort``, gather their stored codes into a prefix of its
+        buffer and sort them there."""
+        region = self._region(geometry)
+        fragments = geometry.num_pixels
         keep = self._stencil_pass(region.stencil) if tested else None
         index.survivors = (
-            rect.num_pixels if keep is None else int(np.count_nonzero(keep))
+            fragments if keep is None else int(np.count_nonzero(keep))
         )
         if not sort:
             return
         if index.buffer is None:
-            index.buffer = _mapped_codes(rect.num_pixels)
+            index.buffer = _mapped_codes(fragments)
         codes = index.buffer[: index.survivors]
         if keep is None:
             codes.reshape(region.depth.shape)[...] = region.depth
@@ -663,22 +689,22 @@ class Device:
         index.codes = codes
 
     def _audit_count(
-        self, rect: Rect, depth: float, color, key, survivors: int,
-        passed: int,
+        self, geometry: Geometry, depth: float, color, key,
+        survivors: int, passed: int,
     ) -> None:
         """The armed sanitizer's check of an indexed count: run the
-        stages on ``rect`` and compare.  A difference means a buffer
+        stages on ``geometry`` and compare.  A difference means a buffer
         changed without its generation moving, or the key misses an
         input: hazard H111."""
         shaded = PassStats(index=-1, fragments=0)
-        self._shade(rect, depth, color, shaded)
-        fragments = rect.num_pixels
+        self._shade(geometry, depth, color, shaded)
+        fragments = geometry.num_pixels
         served = (fragments - survivors, survivors - passed, passed)
         truth = (shaded.stencil_failed, shaded.depth_failed, shaded.passed)
         if served != truth:
             raise StaleMemoError(
                 "count-index",
-                (rect, *key),
+                (geometry, *key),
                 f"(stencil_failed, depth_failed, passed) = {served}, "
                 f"but the stages give {truth}",
             )
@@ -697,19 +723,20 @@ class Device:
         )
 
     def _shade(
-        self, rect: Rect, depth: float, color, stats: PassStats
+        self, geometry: Geometry, depth: float, color, stats: PassStats
     ) -> int:
-        """Run every stage of the pass on ``rect``; returns the
+        """Run every stage of the pass on ``geometry``; returns the
         fragments that passed (the occlusion count)."""
         fb = self.framebuffer
         batch = rasterize_rect(
-            rect, fb.width, fb.height, depth, tuple(color)
+            geometry, fb.width, fb.height, depth, tuple(color)
         )
         stats.fragments += batch.count
-        # Every stage reads and writes the buffers through the rect's
-        # (h, w) views; fragment order is their row-major ravel order.
-        shape = (rect.height, rect.width)
-        region = fb.region(rect)
+        # Every stage reads and writes the buffers through the
+        # geometry's views (a span's is one (1, count) row); fragment
+        # order is their row-major ravel order.
+        shape = geometry.shape
+        region = self._region(geometry)
 
         state = self.state
 
@@ -798,8 +825,8 @@ class Device:
         # Stage 4: depth-bounds test against the *stored* depth
         # (EXT_depth_bounds_test).  Failures are discarded outright.
         if state.depth_bounds.enabled:
-            low = depth_to_code(state.depth_bounds.zmin)
-            high = depth_to_code(state.depth_bounds.zmax)
+            low = np.uint32(scalar_depth_code(state.depth_bounds.zmin))
+            high = np.uint32(scalar_depth_code(state.depth_bounds.zmax))
             bounds_pass = (region.depth >= low) & (region.depth <= high)
             before = live
             alive, live = _survivors(alive, bounds_pass, total)

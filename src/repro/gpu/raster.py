@@ -10,7 +10,11 @@ Hardware rasterizes rectangles, not arbitrary index sets, so a relation
 whose record count does not fill its texture exactly is covered by *two*
 rects (the full rows plus the partial last row) — see
 :func:`rects_for_count`.  This keeps the simulator honest about the
-"no random access" constraint (section 6.1).
+"no random access" constraint (section 6.1): a pass records those rects.
+The two rects are exactly the first *count* pixels in row-major order,
+which is one contiguous run of every buffer, so the simulator shades
+them as one :class:`Span` — the same fragments in the same order, from
+one batch.
 """
 
 from __future__ import annotations
@@ -50,6 +54,37 @@ class Rect:
     @property
     def num_pixels(self) -> int:
         return self.width * self.height
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The ``(height, width)`` of the rect's buffer views."""
+        return (self.height, self.width)
+
+
+@dataclasses.dataclass(frozen=True)
+class Span:
+    """The first ``count`` pixels of the screen in row-major order.
+
+    Every quad the library draws covers such a prefix (a ``count=``
+    quad or the whole screen).  Hardware draws it as the rects of
+    :func:`rects_for_count`; their fragments, in order, are the span's,
+    and a span is one contiguous run of every buffer, seen as a
+    ``(1, count)`` view (:meth:`repro.gpu.framebuffer.FrameBuffer.prefix`).
+    """
+
+    count: int
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise GpuError(f"invalid span {self}")
+
+    @property
+    def num_pixels(self) -> int:
+        return self.count
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (1, self.count)
 
 
 def full_screen(height: int, width: int) -> Rect:
@@ -113,20 +148,22 @@ def _window_positions(rect: Rect, depth: float) -> np.ndarray:
 
 
 class QuadAttributes(Mapping):
-    """The interpolated attributes of one quad, built only when read.
+    """The interpolated attributes of the first ``count`` fragments of
+    a quad over ``rect``, built only when read.
 
-    Texture coordinates are the cached per-rect array and ``COL0`` is
-    the quad color broadcast to every fragment, so neither costs a
-    per-pass allocation; ``WPOS`` is built on first read (few programs
-    use it) and kept for the rest of the pass.  Every value is
+    Texture coordinates are (a prefix of) the cached per-rect array and
+    ``COL0`` is the quad color broadcast to every fragment, so neither
+    costs a per-pass allocation; ``WPOS`` is built on first read (few
+    programs use it) and kept for the rest of the pass.  Every value is
     read-only.
     """
 
-    def __init__(self, rect: Rect, depth: float, color, texcoord):
+    def __init__(self, rect: Rect, count: int, depth: float, color, texcoord):
         self._rect = rect
+        self._count = count
         self._depth = depth
         col0 = np.broadcast_to(
-            np.asarray(color, dtype=np.float32), (rect.num_pixels, 4)
+            np.asarray(color, dtype=np.float32), (count, 4)
         )
         self._values = {
             FragmentAttrib.TEX0: texcoord,
@@ -141,7 +178,9 @@ class QuadAttributes(Mapping):
         if value is None:
             if attrib is not FragmentAttrib.WPOS:
                 raise KeyError(attrib)
-            value = _window_positions(self._rect, self._depth)
+            value = _window_positions(self._rect, self._depth)[
+                : self._count
+            ]
             self._values[attrib] = value
         return value
 
@@ -153,7 +192,7 @@ class QuadAttributes(Mapping):
 
 
 def rasterize_rect(
-    rect: Rect,
+    rect: Rect | Span,
     screen_width: int,
     screen_height: int,
     depth: float,
@@ -164,7 +203,9 @@ def rasterize_rect(
 
     Fragments are in row-major order over the rect, which is the ravel
     order of the ``[y0:y1, x0:x1]`` view of a ``(height, width)``
-    buffer (see :meth:`repro.gpu.framebuffer.FrameBuffer.region`).
+    buffer (see :meth:`repro.gpu.framebuffer.FrameBuffer.region`).  A
+    :class:`Span` is the first ``count`` fragments of the full-screen
+    quad, whose attributes it shares as prefix views.
 
     Texture coordinates are generated at *texel centers* assuming the
     textured quad maps the screen rect one-to-one onto the same rect of a
@@ -173,20 +214,27 @@ def rasterize_rect(
     is how multi-texture passes address the same record in several
     attribute textures.
     """
-    if rect.x1 > screen_width or rect.y1 > screen_height:
+    geometry = rect
+    if isinstance(geometry, Span):
+        rect = full_screen(screen_height, screen_width)
+        exceeds = geometry.count > rect.num_pixels
+    else:
+        exceeds = rect.x1 > screen_width or rect.y1 > screen_height
+    if exceeds:
         raise GpuError(
-            f"rect {rect} exceeds the {screen_width}x{screen_height} screen"
+            f"{geometry} exceeds the {screen_width}x{screen_height} screen"
         )
     # Texcoords normalized against the texture (defaults to screen) size.
     if tex_size is None:
         tex_height, tex_width = screen_height, screen_width
     else:
         tex_height, tex_width = tex_size
-    texcoord = _texcoords(rect, tex_height, tex_width)
+    count = geometry.num_pixels
+    texcoord = _texcoords(rect, tex_height, tex_width)[:count]
     return FragmentBatch(
-        count=rect.num_pixels,
-        attributes=QuadAttributes(rect, depth, color, texcoord),
+        count=count,
+        attributes=QuadAttributes(rect, count, depth, color, texcoord),
         geometry_token=(
-            rect, screen_width, screen_height, tex_height, tex_width
+            geometry, screen_width, screen_height, tex_height, tex_width
         ),
     )

@@ -149,6 +149,9 @@ class Texture:
         #: from this texture's contents — e.g. the depth/stencil caches in
         #: :mod:`repro.plan` — snapshot it to detect streaming updates.
         self.generation = 0
+        #: The ``(generation, count)`` :meth:`assert_integer_exact` last
+        #: passed at.
+        self._integer_exact: tuple[int, int] | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -351,9 +354,14 @@ class Texture:
         float32 represents exactly (< 2**24).
 
         The bit-slicing aggregation algorithms require this contract.
+        A pass is remembered until the texels or ``count`` change.
         """
+        checked = (self.generation, self.count)
+        if checked == self._integer_exact:
+            return
         values = self.linear_view()[: self.count]
         if values.size == 0:
+            self._integer_exact = checked
             return
         if np.any(values < 0):
             raise TextureError("integer-exact textures must be non-negative")
@@ -364,6 +372,7 @@ class Texture:
             )
         if np.any(values != np.floor(values)):
             raise TextureError("texture holds non-integer values")
+        self._integer_exact = checked
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

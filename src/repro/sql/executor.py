@@ -685,8 +685,7 @@ class Database:
             else column.values[ids]
             for column in columns
         ]
-        rows = [
-            tuple(array[i].item() for array in arrays)
-            for i in range(ids.size)
-        ]
+        # One ``tolist`` per column converts every cell to the Python
+        # int or float ``.item()`` gives, in one C loop.
+        rows = list(zip(*(array.tolist() for array in arrays)))
         return rows, labels

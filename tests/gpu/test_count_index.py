@@ -5,7 +5,9 @@ depth-bounds test, every stencil op ``KEEP``) changes nothing but its
 ``PassStats`` and the occlusion count, so ``Device`` answers the second
 and later such passes over one rect from a sorted index of the stored
 depth codes that pass the stencil test.  The index is keyed on the
-depth and stencil generations and the stencil func/reference/mask.
+depth and stencil generations and the stencil func/reference/mask, one
+per quad geometry: a ``count=`` quad's span (one, whether it covers
+whole rows or a partial last row too) or an explicit rect.
 
 Each invalidation test below counts twice (the index is built), changes
 one input, and counts again against a numpy oracle of the live buffers.
@@ -35,7 +37,7 @@ from repro.gpu import CompareFunc, Device, StencilOp
 from repro.gpu.context import ContextScheduler
 from repro.gpu.framebuffer import depth_to_code
 from repro.gpu.pipeline import COUNT_INDEX_RECTS
-from repro.gpu.raster import Rect
+from repro.gpu.raster import Rect, Span
 from repro.gpu.types import DEPTH_MAX_CODE
 
 HEIGHT, WIDTH = 16, 24
@@ -83,9 +85,10 @@ def _count(device, depth=0.5, **cover):
     return query.result()
 
 
-def _oracle(device, depth=0.5, rect=None):
-    """The count from the live buffers: stencil ``(ref & mask) ==
-    (stored & mask)`` and ``quad func stored``."""
+def _oracle(device, depth=0.5, rect=None, count=None):
+    """The count from the live buffers over ``rect`` or the first
+    ``count`` pixels: stencil ``(ref & mask) == (stored & mask)`` and
+    ``quad func stored``."""
     fb = device.framebuffer
     state = device.state
     stencil = fb.stencil.values.reshape(fb.height, fb.width)
@@ -93,16 +96,19 @@ def _oracle(device, depth=0.5, rect=None):
     if rect is not None:
         stencil = stencil[rect.y0:rect.y1, rect.x0:rect.x1]
         codes = codes[rect.y0:rect.y1, rect.x0:rect.x1]
+    if count is not None:
+        stencil = fb.stencil.values[:count]
+        codes = fb.depth.codes[:count]
     mask = state.stencil.mask
     keep = (stencil & mask) == (state.stencil.reference & mask)
     quad = depth_to_code(np.float32(depth))
     return int(np.count_nonzero(keep & state.depth.func.apply(quad, codes)))
 
 
-def _indexed(device, depth=0.5):
+def _indexed(device, depth=0.5, **cover):
     """Count twice, so the next count with the same key is indexed."""
-    _count(device, depth)
-    _count(device, depth)
+    _count(device, depth, **cover)
+    _count(device, depth, **cover)
     assert len(device._count_indexes) == 1
 
 
@@ -218,14 +224,56 @@ def test_different_rect_invalidates():
 
 
 def test_two_rect_count_quad():
-    """A ``count=`` quad with a partial last row is two rects, each
-    with its own index."""
+    """A ``count=`` quad with a partial last row is two rects, shaded
+    as one span with one index.  Fails when each rect keeps its own."""
     device = _device()
     count = WIDTH * 5 + 7
     rects = [Rect(0, 0, WIDTH, 5), Rect(0, 5, 7, 6)]
     expected = sum(_oracle(device, rect=rect) for rect in rects)
+    assert expected == _oracle(device, count=count)
     assert [_count(device, count=count) for _ in range(4)] == [expected] * 4
-    assert set(device._count_indexes) == set(rects)
+    assert set(device._count_indexes) == {Span(count)}
+    assert device._count_indexes[Span(count)].buffer.size == count
+
+
+#: Record counts at a row boundary and on each side of one: whole rows
+#: only (one rect), and whole rows plus a tail of one pixel or of all
+#: but one (two rects).
+ROW_EDGE_COUNTS = [WIDTH * 5, WIDTH * 5 + 1, WIDTH * 5 + WIDTH - 1]
+
+
+#: Changes between indexed counts: the buffer writes and clears (the
+#: count state is set again after them), then the count state itself.
+_SPAN_CHANGES = {
+    "depth-write": lambda device: _depth_write(device),
+    "stencil-write": lambda device: _stencil_write(device, WIDTH * 3 + 5),
+    "clear": lambda device: device.clear(stencil=1, depth=0.5),
+    "clear_depth": lambda device: device.clear_depth(0.75),
+    "clear_stencil": lambda device: device.clear_stencil(1),
+    "reference": lambda device: _count_state(device, reference=2),
+    "mask": lambda device: _count_state(device, mask=0x02),
+    "depth-func": lambda device: _count_state(device, func=CompareFunc.LESS),
+}
+_STATE_CHANGES = ("reference", "mask", "depth-func")
+
+
+@pytest.mark.parametrize("change", sorted(_SPAN_CHANGES))
+@pytest.mark.parametrize("count", ROW_EDGE_COUNTS)
+def test_span_counts_around_each_change(count, change):
+    """Indexed counts over a span of ``count`` records, one change,
+    then counts again: each equals the oracle over the first ``count``
+    pixels, and the span keeps its one index."""
+    device = _device()
+    _indexed(device, count=count)
+    assert _count(device, count=count) == _oracle(device, count=count)
+    _SPAN_CHANGES[change](device)
+    if change not in _STATE_CHANGES:
+        _count_state(device)
+    for depth in (0.5, 0.5, 0.8):
+        assert _count(device, depth, count=count) == _oracle(
+            device, depth, count=count
+        )
+    assert Span(count) in device._count_indexes
 
 
 def test_context_switch_between_sessions_with_different_masks():

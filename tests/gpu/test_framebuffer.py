@@ -12,6 +12,7 @@ from repro.gpu.framebuffer import (
     code_to_depth,
     depth_to_code,
     quad_depth_code,
+    scalar_depth_code,
 )
 from repro.gpu.pipeline import Device
 from repro.gpu.programs import copy_to_depth_program
@@ -158,6 +159,32 @@ class TestDepthQuantization:
 
     def test_quad_depth_code_of_nan_is_zero(self):
         assert quad_depth_code(float("nan")) == 0
+
+    @pytest.mark.parametrize(
+        "depth",
+        [
+            0.0, -0.0, 1.0, float("nan"), float("inf"), float("-inf"),
+            5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
+        ]
+        + [
+            np.nextafter(k / 2**24, toward)
+            for k in (1, 2**23, DEPTH_MAX_CODE, 2**24)
+            for toward in (-np.inf, np.inf)
+        ]
+        + [k / 2**24 for k in (1, 2**23, DEPTH_MAX_CODE, 2**24)],
+    )
+    def test_scalar_depth_code_edges(self, depth):
+        """The depth-bounds quantizer at 0, 1, NaN, the infinities,
+        subnormals, huge values, and each code boundary ``k / 2**24``
+        exactly and one ulp either side: bit-exact with
+        ``depth_to_code``, which quantizes a float through float64."""
+        code = scalar_depth_code(depth)
+        assert type(code) is int
+        assert code == int(depth_to_code(depth))
+
+    @given(depth=_depths(np.float64))
+    def test_scalar_depth_code_matches_depth_to_code(self, depth):
+        assert scalar_depth_code(float(depth)) == int(depth_to_code(depth))
 
     def test_code_to_depth_inverts_bucket_floor(self):
         codes = np.array([0, 1, DEPTH_MAX_CODE], dtype=np.uint32)

@@ -384,9 +384,11 @@ class TestKernelCache:
         assert cache.misses == 2
 
     def test_texel_upload_rotates_key(self):
-        """satellite 3: a texture-content change (generation bump) must
-        miss the cache — retried faults / context switches can never
-        replay a kernel bound over stale texels."""
+        """A texture-content change (generation bump) must miss the
+        cache — retried faults / context switches can never replay a
+        kernel bound over stale texels.  The miss refreshes the kernel
+        in place: same steps, the new generation, reading the new
+        texels."""
         cache = KernelCache()
         program = copy_to_depth_program()
         texture = self._texture()
@@ -397,9 +399,17 @@ class TestKernelCache:
         generation = texture.generation
         texture.write_texels(0, np.array([0.5], dtype=np.float32))
         assert texture.generation > generation
+        assert before.stale
         after = cache.get_or_bind(program, NO_COLOR, {0: texture}, params)
-        assert before is not after
+        assert before is after and not after.stale
         assert cache.misses == 2
+        assert cache.refreshes == 1
+        assert len(cache) == 1
+        batch = rasterize_rect(Rect(0, 0, 8, 8), 8, 8, 0.0, (1, 1, 1, 1))
+        expected = ProgramInterpreter({0: texture}, params).run(
+            program, batch
+        )
+        assert np.array_equal(after.run(batch).depth, expected.depth)
 
     def test_lru_eviction(self):
         cache = KernelCache(capacity=2)

@@ -416,7 +416,8 @@ class TestLazyAttributes:
         device.state.stencil.enabled = True
         device.state.stencil.zpass = StencilOp.INCR
         device.render_quad(0.5, count=6)
-        assert len(recorded_batches) == 2
+        # Two rects, shaded as one span.
+        assert len(recorded_batches) == 1
         for attributes in recorded_batches:
             read = dict(attributes.reads)
             assert FragmentAttrib.WPOS not in read

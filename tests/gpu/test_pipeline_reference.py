@@ -1,15 +1,20 @@
-"""Differential test: the rect-view pipeline against a fancy-indexed
+"""Differential test: the view pipeline against a fancy-indexed
 reference.
 
 :class:`ReferenceDevice` runs every pass through the earlier
-implementation of ``Device._draw``: linear pixel indices, per-fragment
-gathers and scatters into the flat buffers, an int64 stencil reference
-array and a depth code quantized per fragment.  Hypothesis draws small
-screens, quad shapes, the whole fixed-function state space and a set of
-the library's programs on both backends, with quad and stored colors
-that include NaN payloads, signed zeros and infinities.  The two
-devices must agree bit for bit on every buffer, every ``PassStats``
-field, the occlusion count and the generation counters.
+implementation of ``Device._draw``: one draw per rect the hardware
+rasterizes (a ``count=`` quad's full rows, then its partial row, where
+``Device`` shades one contiguous span), linear pixel indices,
+per-fragment gathers and scatters into the flat buffers, an int64
+stencil reference array and a depth code quantized per fragment.
+Hypothesis draws small screens, quad shapes, the whole fixed-function
+state space and a set of the library's programs on both backends, with
+quad and stored colors that include NaN payloads, signed zeros and
+infinities.  The two devices must agree bit for bit on every buffer,
+every ``PassStats`` field and the occlusion count, and, pass by pass,
+on whether the pass moved the depth and the stencil generation (by how
+much is the draw count's business: a span bumps a counter once where
+its two rects bump it once each).
 """
 
 import dataclasses
@@ -30,8 +35,9 @@ from repro.gpu.programs import (
 )
 from repro.gpu.programs import test_bit_kil_program as bit_kil_program
 from repro.gpu.programs import test_bit_program as bit_program
-from repro.gpu.raster import Rect, rasterize_rect
+from repro.gpu.raster import Rect, Span, rasterize_rect, rects_for_count
 from repro.gpu.types import DEPTH_MAX_CODE
+from repro.trace import Tracer
 
 
 def _linear_indices(rect: Rect, screen_width: int) -> np.ndarray:
@@ -43,9 +49,18 @@ def _linear_indices(rect: Rect, screen_width: int) -> np.ndarray:
 
 class ReferenceDevice(Device):
     """A device whose passes gather and scatter through linear pixel
-    indices (the oracle for the rect-view pipeline)."""
+    indices, one rect at a time (the oracle for the view pipeline)."""
 
-    def _draw(
+    def _draw(self, geometry, depth: float, color, stats: PassStats) -> None:
+        if isinstance(geometry, Span):
+            fb = self.framebuffer
+            rects = rects_for_count(geometry.count, fb.width, fb.height)
+        else:
+            rects = [geometry]
+        for rect in rects:
+            self._draw_rect(rect, depth, color, stats)
+
+    def _draw_rect(
         self, rect: Rect, depth: float, color, stats: PassStats
     ) -> None:
         self.state.validate()
@@ -288,9 +303,27 @@ _changes = st.lists(
 )
 
 
+def _log_generations(device):
+    """Record in ``device.moves``, for every pass, whether it moved the
+    depth and the stencil generation."""
+    device.moves = []
+    render = device.render_quad
+
+    def logged(*args, **kwargs):
+        before = (device.depth_generation, device.stencil_generation)
+        render(*args, **kwargs)
+        after = (device.depth_generation, device.stencil_generation)
+        device.moves.append((after[0] != before[0], after[1] != before[1]))
+
+    device.render_quad = logged
+    return device
+
+
 def _run(device_class, scenario, changes=()):
     height, width = scenario["height"], scenario["width"]
-    device = device_class(height, width, jit=scenario["jit"])
+    device = _log_generations(
+        device_class(height, width, jit=scenario["jit"])
+    )
     rng = np.random.default_rng(scenario["seed"])
     fb = device.framebuffer
     # Any stored stencil, half of them at or next to a saturation
@@ -406,11 +439,60 @@ def _assert_matches_reference(scenario, changes=()):
         dataclasses.asdict(p) for p in reference.stats.passes
     ]
     assert occlusion == expected_occlusion
-    assert device.stencil_generation == reference.stencil_generation
-    assert device.depth_generation == reference.depth_generation
+    assert device.moves == reference.moves
+
+
+@st.composite
+def _row_edge_counts(draw, height, width):
+    """A ``count=`` cover of k·W, k·W + 1 or k·W + W − 1 records: whole
+    rows only, or whole rows and a tail of one pixel or of all but one
+    — where a span and its two rects could first disagree."""
+    rows = draw(st.integers(0, height))
+    tail = draw(st.sampled_from([0, 1, width - 1]))
+    return {"count": min(rows * width + tail, height * width)}
+
+
+@st.composite
+def _row_edge_scenarios(draw):
+    scenario = draw(_scenarios())
+    cover = draw(_row_edge_counts(scenario["height"], scenario["width"]))
+    return dict(scenario, cover=cover)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenario=_row_edge_scenarios(), changes=_changes)
+def test_row_edge_counts_match_reference(scenario, changes):
+    """The scenario matrix at record counts on each side of a row
+    boundary, once and with repeats after changes: one span against
+    the reference's two rects."""
+    _assert_matches_reference(scenario)
+    _assert_matches_reference(dict(scenario, jit=True), changes)
+
+
+def test_traced_count_pass_lists_both_rects():
+    """A count pass shaded as one span still records the two rects the
+    hardware draws, and its fragments are theirs."""
+    device = Device(5, 7, jit=True)
+    tracer = Tracer()
+    device.tracer = tracer
+    device.render_quad(0.5, count=3 * 7 + 2)
+    (event,) = [p for span in tracer.roots for p in span.passes]
+    assert event.rects == ((7, 3), (2, 1))
+    assert event.fragments == 3 * 7 + 2
 
 
 # -- count-only passes: the device's sorted index of survivor codes ----------
+
+#: ``count=`` covers of a 5x7 screen: the full screen, a partial last
+#: row (two rects), and k·W, k·W + 1 and k·W + W − 1 records.
+_COVERS = [{}, {"count": 4 * 7 + 3}] + [
+    {"count": 3 * 7 + tail} for tail in (0, 1, 6)
+]
+_COVER_IDS = ["full", "two-rects", "kW", "kW+1", "kW+W-1"]
 
 #: Stored codes a count pass meets at both ends of the depth range.
 _EDGE_CODES = np.array([0, 1, 1 << 23, DEPTH_MAX_CODE - 1, DEPTH_MAX_CODE])
@@ -421,7 +503,7 @@ _EDGE_DEPTHS = (0.0, 1.0, 0.5)
 def _count_device(device_class, height, width, jit, seed):
     """A device with scattered stencil values in {0, 1, 2} and stored
     codes drawn from the ends of the range and the whole of it."""
-    device = device_class(height, width, jit=jit)
+    device = _log_generations(device_class(height, width, jit=jit))
     rng = np.random.default_rng(seed)
     fb = device.framebuffer
     fb.stencil.values[:] = rng.integers(0, 3, fb.num_pixels)
@@ -553,8 +635,7 @@ def _assert_same_device(device, counts, reference, expected):
     assert [dataclasses.asdict(p) for p in device.stats.passes] == [
         dataclasses.asdict(p) for p in reference.stats.passes
     ]
-    assert device.stencil_generation == reference.stencil_generation
-    assert device.depth_generation == reference.depth_generation
+    assert device.moves == reference.moves
 
 
 @settings(
@@ -569,6 +650,25 @@ def test_repeated_counts_match_reference(scenario):
     program copies, stencil writes, stencil-test changes, clears and
     depth-func changes: every count, buffer and ``PassStats`` equals
     the reference's, and JIT and interpreter devices agree."""
+    _assert_counts_match_reference(scenario)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data(), scenario=_count_scenarios())
+def test_row_edge_repeated_counts_match_reference(data, scenario):
+    """The count sequences over a span of k·W, k·W + 1 or k·W + W − 1
+    records."""
+    cover = data.draw(
+        _row_edge_counts(scenario["height"], scenario["width"])
+    )
+    _assert_counts_match_reference(dict(scenario, cover=cover))
+
+
+def _assert_counts_match_reference(scenario):
     device, counts = _run_counts(Device, scenario)
     reference, expected = _run_counts(ReferenceDevice, scenario)
     _assert_same_device(device, counts, reference, expected)
@@ -580,9 +680,7 @@ def test_repeated_counts_match_reference(scenario):
 
 @pytest.mark.parametrize("func", list(CompareFunc))
 @pytest.mark.parametrize("depth", _EDGE_DEPTHS)
-@pytest.mark.parametrize(
-    "cover", [{}, {"count": 4 * 7 + 3}], ids=["full", "two-rects"]
-)
+@pytest.mark.parametrize("cover", _COVERS, ids=_COVER_IDS)
 def test_every_depth_func_at_the_code_range_ends(func, depth, cover):
     """Each ``CompareFunc`` against stored codes at 0 and
     ``DEPTH_MAX_CODE``, with the quad at code 0, the largest code and
@@ -619,14 +717,13 @@ def test_every_depth_func_at_the_code_range_ends(func, depth, cover):
     ],
     ids=lambda change: "-".join(str(part) for part in change),
 )
-@pytest.mark.parametrize(
-    "cover", [{}, {"count": 4 * 7 + 3}], ids=["full", "two-rects"]
-)
+@pytest.mark.parametrize("cover", _COVERS, ids=_COVER_IDS)
 def test_counts_around_each_change_match_reference(change, cover):
     """Indexed counts, one change, then counts again: the change must
     reach the counts after it.  On this seed every buffer or stencil
-    change moves the count; the depth-func change is searched in the
-    same index."""
+    change moves the count, except that over the first 27 pixels as
+    many hold stencil 2 as hold 1; the depth-func change is searched in
+    the same index."""
     count = ("count", CompareFunc.GEQUAL, 0.5, 3)
     scenario = {
         "height": 5,
@@ -639,5 +736,8 @@ def test_counts_around_each_change_match_reference(change, cover):
     device, counts = _run_counts(Device, scenario)
     reference, expected = _run_counts(ReferenceDevice, scenario)
     _assert_same_device(device, counts, reference, expected)
-    if change[0] != "count":
+    coincident = cover == {"count": 27} and change[:3] == (
+        "stencil-test", CompareFunc.EQUAL, 2
+    )
+    if change[0] != "count" and not coincident:
         assert expected[0] != expected[-1]

@@ -9,6 +9,7 @@ from repro.errors import GpuError
 from repro.gpu.isa import FragmentAttrib
 from repro.gpu.raster import (
     Rect,
+    Span,
     full_screen,
     rasterize_rect,
     rects_for_count,
@@ -149,3 +150,40 @@ class TestRasterize:
         assert np.all(wpos[:, 2] == np.float32(0.1))
         assert batch.attributes[FragmentAttrib.WPOS] is wpos
         assert set(batch.attributes) == set(FragmentAttrib)
+
+
+class TestSpan:
+    @given(
+        height=st.integers(1, 6),
+        width=st.integers(1, 7),
+        fraction=st.floats(0.0, 1.0),
+    )
+    def test_span_batch_is_its_rects_batches_in_order(
+        self, height, width, fraction
+    ):
+        """A span's fragments are those of the rects covering the same
+        count, in order, with bit-identical attributes."""
+        count = round(fraction * height * width)
+        span = rasterize_rect(Span(count), width, height, 0.3, (1, 2, 3, 4))
+        rects = [
+            rasterize_rect(rect, width, height, 0.3, (1, 2, 3, 4))
+            for rect in rects_for_count(count, width, height)
+        ]
+        assert span.count == count == sum(batch.count for batch in rects)
+        for attrib in FragmentAttrib:
+            expected = [batch.attributes[attrib] for batch in rects]
+            joined = (
+                np.concatenate(expected)
+                if expected
+                else np.empty((0, 4), np.float32)
+            )
+            assert np.array_equal(
+                span.attributes[attrib].view(np.uint32),
+                joined.view(np.uint32),
+            )
+
+    def test_span_past_the_screen_rejected(self):
+        with pytest.raises(GpuError):
+            rasterize_rect(Span(17), 4, 4, 0.0, (1, 1, 1, 1))
+        with pytest.raises(GpuError):
+            Span(-1)

@@ -38,7 +38,7 @@ from repro.streams import ContinuousQuery, StreamEngine
 
 HEIGHT, WIDTH = 24, 32
 #: Valid texels: 23 full rows and a partial one, so a textured quad
-#: is two rects (two geometry tokens).
+#: records two rects, shaded as one span (one geometry token).
 COUNT = HEIGHT * WIDTH - 13
 BITS = 10
 SCALE = 1.0 / (1 << BITS)
@@ -154,7 +154,8 @@ def _passthrough(device, texture):
 
 
 #: name -> (pass, valid texels of its texture).  A texture of
-#: ``COUNT`` texels is drawn as two rects, a full one as one.
+#: ``COUNT`` texels records two rects, a full one one; either is
+#: shaded as one span.
 PASSES = {
     "copy-to-depth": (_copy, COUNT),
     "copy-to-depth-full-screen": (_copy, HEIGHT * WIDTH),
@@ -233,11 +234,12 @@ class TestMemoHitsAreBitExact:
     @pytest.mark.parametrize("kind", MEMO_ONLY)
     def test_second_pass_runs_no_program(self, kind, program_runs):
         device, _ = _run_twice(kind, jit=True)
-        rects = 1 if kind == "copy-to-depth-full-screen" else 2
-        assert len(program_runs) == rects
-        # Bound once per rect per pass, as without the memo.
+        # One span per pass, two rects or one: the first pass runs the
+        # program once.
+        assert len(program_runs) == 1
+        # Bound once per pass, as without the memo.
         assert device.kernels.misses == 1
-        assert device.kernels.hits == 2 * rects - 1
+        assert device.kernels.hits == 1
         assert device.kernels.memo_bytes > 0
 
     @pytest.mark.parametrize(
@@ -245,7 +247,7 @@ class TestMemoHitsAreBitExact:
     )
     def test_impure_or_kil_kernels_memoize_nothing(self, kind, program_runs):
         device, _ = _run_twice(kind, jit=True)
-        assert len(program_runs) == 4
+        assert len(program_runs) == 2
         assert device.kernels.memo_bytes == 0
 
     def test_purity_rule(self):
@@ -313,6 +315,48 @@ class TestInvalidation:
         after = _bit_counts(device, texture, 2)
         assert before != after
         assert after == _expected_bits(texture, 2)
+
+    def test_upload_refreshes_kernels_in_place(self, monkeypatch):
+        """After ``upload_texels`` a ``TestBit`` pass and a copy-to-depth
+        pass equal the interpreter's; each looks up its kernel, misses,
+        and refreshes it in place with an empty stage memo, so the cache
+        still holds one kernel per program."""
+        refreshed = []
+        refresh = BoundKernel.refresh
+
+        def recording(kernel):
+            refresh(kernel)
+            refreshed.append((kernel, kernel.memo_bytes, kernel.stale))
+
+        monkeypatch.setattr(BoundKernel, "refresh", recording)
+        update = np.random.default_rng(9).integers(
+            0, 1 << BITS, (50, 4)
+        ).astype(np.float32)
+        snapshots = {}
+        for jit in (True, False):
+            device = _device(jit)
+            texture = _texture()
+            for draw in (_copy, _test_bit) * 2:
+                draw(device, texture)
+            kernels = len(device.kernels)
+            device.upload_texels(texture, 100, update)
+            snapshots[jit] = []
+            for draw in (_copy, _test_bit):
+                query = device.begin_query()
+                draw(device, texture)
+                device.end_query()
+                snapshots[jit].append(_snapshot(device, query.result()))
+            if jit:
+                cache = device.kernels
+                assert kernels == len(cache) == 2
+                assert cache.refreshes == 2
+                assert cache.misses == 2 + cache.refreshes
+                assert [(memo, stale) for _, memo, stale in refreshed] == [
+                    (0, False), (0, False)
+                ]
+                assert len({id(kernel) for kernel, _, _ in refreshed}) == 2
+        for ours, theirs in zip(snapshots[True], snapshots[False]):
+            _assert_same(ours, theirs)
 
     def test_write_records_between_identical_queries(self):
         relation = make_tcpip(3000, seed=4)

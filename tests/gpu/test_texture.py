@@ -172,3 +172,31 @@ class TestIntegerExact:
 
     def test_empty_texture_passes(self):
         Texture(np.zeros((1, 1)), count=0).assert_integer_exact()
+
+    @pytest.mark.parametrize(
+        "bad", [-1.0, 2.5, float(2**24)], ids=["negative", "fraction", "2^24"]
+    )
+    def test_rechecks_after_write_texels(self, bad):
+        """A pass is remembered, but a texel write moves the generation
+        and the next call checks the new texels."""
+        texture = Texture.from_values([1.0, 2.0, 3.0], shape=(2, 2))
+        texture.assert_integer_exact()
+        texture.assert_integer_exact()
+        texture.write_texels(1, np.array([bad], dtype=np.float32))
+        with pytest.raises(TextureError):
+            texture.assert_integer_exact()
+        with pytest.raises(TextureError):
+            texture.assert_integer_exact()
+
+    @pytest.mark.parametrize(
+        "bad", [-1.0, 2.5, float(2**24)], ids=["negative", "fraction", "2^24"]
+    )
+    def test_rechecks_when_count_grows_over_bad_texels(self, bad):
+        """Padding is not checked, so a bad texel past ``count`` passes;
+        once ``count`` covers it the check must see it."""
+        texture = Texture.from_values([1.0, 2.0], shape=(2, 2))
+        texture.write_texels(3, np.array([bad], dtype=np.float32))
+        texture.assert_integer_exact()
+        texture.count = 4
+        with pytest.raises(TextureError):
+            texture.assert_integer_exact()

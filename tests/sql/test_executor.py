@@ -6,6 +6,7 @@ import pytest
 from repro.core import Column, CpuEngine, Relation, col
 from repro.errors import SqlPlanError
 from repro.sql import Database, Device
+from repro.sql.ast import ColumnItem, StarItem
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +172,50 @@ class TestPlanSurface:
         assert result.plan.estimated_gpu_s > 0
         assert result.plan.estimated_cpu_s > 0
         assert result.device is result.plan.chosen_device
+
+
+class TestProjectRows:
+    """``Database._project`` builds its rows column by column; they
+    equal one ``.item()`` per cell, Python types included."""
+
+    @staticmethod
+    def _cellwise(relation, ids, names):
+        arrays = [
+            relation.column(name).values[ids].astype(np.int64)
+            if relation.column(name).is_integer
+            else relation.column(name).values[ids]
+            for name in names
+        ]
+        return [
+            tuple(array[i].item() for array in arrays)
+            for i in range(ids.size)
+        ]
+
+    @pytest.fixture(scope="class")
+    def relation(self):
+        rng = np.random.default_rng(4)
+        return Relation(
+            "mixed",
+            [
+                Column.integer("i", rng.integers(-500, 500, 64), bits=12),
+                Column.fixed_point("f", rng.uniform(0, 100, 64), 3),
+                Column.floating("g", rng.normal(size=64)),
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "ids", [np.arange(64)[::3], np.array([], dtype=np.int64)],
+        ids=["rows", "empty"],
+    )
+    def test_rows_and_types_match_cellwise_items(self, relation, ids):
+        items = [StarItem(), ColumnItem("g", alias="h")]
+        rows, labels = Database._project(relation, ids, items)
+        names = ["i", "f", "g", "g"]
+        assert labels == ["i", "f", "g", "h"]
+        expected = self._cellwise(relation, ids, names)
+        assert rows == expected
+        assert [tuple(map(type, row)) for row in rows] == [
+            tuple(map(type, row)) for row in expected
+        ]
+        if ids.size:
+            assert tuple(map(type, rows[0])) == (int, float, float, float)
